@@ -53,6 +53,7 @@ from .sumset import (
     DEFAULT_BUDGET,
     DEFAULT_GROUP_CAP,
     FiniteGroupSpec,
+    GroupTooLarge,
     all_colourings_forced,
     min_colours_avoiding,
 )
@@ -263,7 +264,6 @@ def cmd_verify(args) -> int:
         "count": args.count,
         "seed": args.seed,
         "cap": args.cap,
-        "parallel": args.parallel,
         "drop_layer": args.drop_layer,
     }
     report: dict = {"config": config}
@@ -288,15 +288,18 @@ def cmd_verify(args) -> int:
         )
     config["resolved_signature"] = sig.describe()
 
-    spec = SampleSpec(
-        sig,
-        prufer_depth=args.prufer_depth,
-        q_numerator_bound=args.q_bound,
-        q_denominator_bound=args.q_den_bound,
-        mode=args.mode,
-        count=args.count,
-        seed=args.seed,
-    )
+    try:
+        spec = SampleSpec(
+            sig,
+            prufer_depth=args.prufer_depth,
+            q_numerator_bound=args.q_bound,
+            q_denominator_bound=args.q_den_bound,
+            mode=args.mode,
+            count=args.count,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(f"bad sample window: {exc}")
     try:
         elements = enumerate_sample(spec, cap=args.cap)
     except SampleCapExceeded as exc:
@@ -305,16 +308,15 @@ def cmd_verify(args) -> int:
         return EXIT_BUDGET
 
     colour_fn = DROPPED_LAYER_COLOURINGS[args.drop_layer] if args.drop_layer else colour
-    triple = find_mono_triples(
-        elements, colour_fn, parallel=args.parallel, sample=spec.describe()
-    )
+    triple = find_mono_triples(elements, colour_fn, sample=spec.describe())
     coset = check_coset_uniqueness(elements)
     report["triple_report"] = triple.describe()
     report["coset_report"] = coset.describe()
     _emit(report, args.output)
     print(
-        f"checked {triple.pairs} pairs over {triple.distinct} elements: "
-        f"{len(triple.violations)} violations",
+        f"evaluated {triple.candidate_pairs} candidate pairs (pairs sharing the colour "
+        f"of their doubles) of {triple.pairs} nominal pairs over {triple.distinct} "
+        f"elements: {len(triple.violations)} violations",
         file=sys.stderr,
     )
     return EXIT_OK if triple.ok else EXIT_VIOLATIONS
@@ -343,7 +345,10 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 def cmd_search(args) -> int:
     orders = _parse_orders(args.group)
-    group = FiniteGroupSpec(orders)
+    try:
+        group = FiniteGroupSpec(orders)
+    except ValueError as exc:
+        raise CliError(f"bad group orders {args.group!r}: {exc}")
     config = {
         "subcommand": "search",
         "group": list(orders),
@@ -352,24 +357,26 @@ def cmd_search(args) -> int:
         "budget": args.budget,
         "cap": args.cap,
     }
-    if args.min_colours:
-        res = min_colours_avoiding(group, budget=args.budget, cap=args.cap)
-        report = {"config": config, "result": res.describe()}
-        _emit(report, args.output)
-        if res.verdict == "unknown":
-            print("verdict: unknown (budget exceeded)", file=sys.stderr)
-            return EXIT_BUDGET
-        print(f"min colours avoiding: {res.count}", file=sys.stderr)
-        return EXIT_OK
-    if args.colours is None:
+    if not args.min_colours and args.colours is None:
         raise CliError("search needs --colours N or --min-colours")
-    res = all_colourings_forced(group, args.colours, budget=args.budget, cap=args.cap)
+    try:
+        if args.min_colours:
+            res = min_colours_avoiding(group, budget=args.budget, cap=args.cap)
+        else:
+            res = all_colourings_forced(group, args.colours, budget=args.budget, cap=args.cap)
+    except GroupTooLarge as exc:
+        raise CliError(str(exc), EXIT_BUDGET)
+    except ValueError as exc:
+        raise CliError(str(exc))
     report = {"config": config, "result": res.describe()}
     _emit(report, args.output)
     if res.verdict == "unknown":
         print("verdict: unknown (budget exceeded)", file=sys.stderr)
         return EXIT_BUDGET
-    print(f"verdict: {res.verdict}", file=sys.stderr)
+    if args.min_colours:
+        print(f"min colours avoiding: {res.count}", file=sys.stderr)
+    else:
+        print(f"verdict: {res.verdict}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -414,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000, help="random-mode sample size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_SAMPLE_CAP)
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--drop-layer", choices=sorted(DROPPED_LAYER_COLOURINGS), default=None,
                    help="diagnostic: drop one colour layer")
     p.add_argument("--output", help="write JSON report here")
@@ -439,7 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as "order 4"
+        return EXIT_IO if exc.code else EXIT_OK
     try:
         return args.func(args)
     except CliError as exc:

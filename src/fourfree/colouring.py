@@ -41,6 +41,7 @@ __all__ = [
     "colour_drop_y",
     "colour_drop_halvable",
     "DROPPED_LAYER_COLOURINGS",
+    "reads_layers",
 ]
 
 
@@ -91,6 +92,26 @@ def halve(a: AmbientElement) -> AmbientElement:
     return AmbientElement(a.signature, tuple(d), a.t, tuple(v / 2 for v in a.q))
 
 
+def reads_layers(*layers: str):
+    """Declare the colour layers a colouring reads: any of "d", "y", "h".
+
+    The verifier buckets and compares elements by these layers alone, coded
+    as integers, so a declared colouring must be an injective function of
+    them: two elements get equal colours exactly when they agree on every
+    declared layer (d profile, free-part profile, halvability).
+    """
+    unknown = set(layers) - {"d", "y", "h"}
+    if unknown:
+        raise ValueError(f"unknown colour layers {sorted(unknown)}; known: d, y, h")
+
+    def declare(fn):
+        fn.layers = frozenset(layers)
+        return fn
+
+    return declare
+
+
+@reads_layers("d", "y", "h")
 def colour(a: AmbientElement) -> Colour:
     """The product colouring: d profile, free-part profile, halvability."""
     return Colour(a.d_profile(), a.q_profile(), is_halvable(a))
@@ -132,16 +153,19 @@ def colour_tag(c: Colour) -> str:
 
 # Diagnostic colourings with one layer removed; each layer is load-bearing,
 # and dropping any of them admits monochromatic {2a, 2b, a+b} on documented
-# samples.  Module-level functions so parallel sweeps can pickle them.
+# samples.
 
+@reads_layers("y", "h")
 def colour_drop_d(a: AmbientElement):
     return ("y+h", a.q_profile(), is_halvable(a))
 
 
+@reads_layers("d", "h")
 def colour_drop_y(a: AmbientElement):
     return ("d+h", a.d_profile(), is_halvable(a))
 
 
+@reads_layers("d", "y")
 def colour_drop_halvable(a: AmbientElement):
     return ("d+y", a.d_profile(), a.q_profile())
 

@@ -10,8 +10,20 @@ violations that validate the checker itself.
 
 The pair sweep buckets elements by the colour of their double, so only pairs
 that already agree on that colour are tested against colour(a+b).  Sweeps
-are deterministic: the report (violations in canonical order, all counts) is
-identical whether run serially or partitioned across worker processes.
+are deterministic: the report (violations in canonical order, all counts)
+depends only on the set of elements swept.
+
+Inside a finite input every coordinate is an integer code.  A Pruefer
+coordinate becomes its numerator over M, the lcm of all Pruefer denominators
+in the input, and is added and doubled mod M; a free coordinate becomes its
+numerator over L, the lcm of the free denominators; the order-2 block
+becomes a bitmask.  Because each block shares one denominator, the tuple of
+nonzero numerators of a block determines its profile exactly, halvability is
+t == 0 (and, in integer free mode, every free code even), and bucketing, the
+pair scan and the coset census run on ints and tuples only.  A colouring
+states which layers it reads with :func:`~fourfree.colouring.reads_layers`;
+the sweep compares exactly those layers, and calls the colouring itself only
+to write the colour text of a violating bucket.
 """
 
 from __future__ import annotations
@@ -21,9 +33,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
-from multiprocessing import Pool
 from typing import Callable, Optional, Sequence
 
 from .ambient import (
@@ -33,7 +43,7 @@ from .ambient import (
     SignatureMismatch,
     element,
 )
-from .colouring import Colour, colour, colour_encode, is_halvable
+from .colouring import Colour, colour, colour_encode, reads_layers
 from .sumset import FiniteGroupSpec
 
 DEFAULT_SAMPLE_CAP = 100_000
@@ -99,10 +109,17 @@ class SampleSpec:
         }
         return tuple(sorted(values))
 
+    def q_box_size(self) -> int:
+        """``len(self.q_values())``, counted without building the box."""
+        bound = self.q_numerator_bound
+        if self.signature.free_mode == INTEGER:
+            return 2 * bound + 1
+        return 1 + 2 * _coprime_pairs(bound, self.q_denominator_bound)
+
     def cardinality(self) -> int:
         sig = self.signature
         size = math.prod(p**self.prufer_depth for p in sig.prufer_factors)
-        return size * 2**sig.s * len(self.q_values()) ** sig.r
+        return size * 2**sig.s * (self.q_box_size() ** sig.r if sig.r else 1)
 
     def describe(self) -> dict:
         return {
@@ -116,6 +133,35 @@ class SampleSpec:
         }
 
 
+def _coprime_pairs(b: int, d: int) -> int:
+    """#{(n, m) : 1 <= n <= b, 1 <= m <= d, gcd(n, m) = 1}.
+
+    Every pair (n, m) is g times a coprime pair for g = gcd(n, m), so
+    b*d = sum over g >= 1 of coprime_pairs(b // g, d // g).  The g with equal
+    quotients form blocks, so each call visits O(sqrt(b)) blocks and only
+    O(sqrt(b) + sqrt(d)) distinct arguments ever occur.
+    """
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(b: int, d: int) -> int:
+        if b > d:
+            b, d = d, b
+        if b == 0:
+            return 0
+        if (b, d) not in memo:
+            total = b * d
+            g = 2
+            while g <= b:
+                bg, dg = b // g, d // g
+                last = min(b // bg, d // dg)
+                total -= (last - g + 1) * count(bg, dg)
+                g = last + 1
+            memo[b, d] = total
+        return memo[b, d]
+
+    return count(b, d)
+
+
 def enumerate_sample(
     spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP
 ) -> list[AmbientElement]:
@@ -124,27 +170,34 @@ def enumerate_sample(
     Exhaustive mode yields each element of the box exactly once; random mode
     yields ``count`` uniform draws (duplicates possible), reproducible from
     the seed with a fixed draw order (Pruefer coordinates by index, then t
-    bits, then free coordinates).
+    bits, then free coordinates).  Either mode raises
+    :class:`SampleCapExceeded` before building anything when it would yield
+    more than ``cap`` elements.
     """
+    total = spec.cardinality() if spec.mode == "exhaustive" else spec.count
+    if total > cap:
+        raise SampleCapExceeded(f"{spec.mode} sample has {total} elements, cap is {cap}")
     sig = spec.signature
     depth_orders = [p**spec.prufer_depth for p in sig.prufer_factors]
     q_box = spec.q_values()
 
     if spec.mode == "exhaustive":
-        total = spec.cardinality()
-        if total > cap:
-            raise SampleCapExceeded(f"exhaustive sample has {total} elements, cap is {cap}")
-        out = []
-        for d_num in product(*(range(n) for n in depth_orders)):
-            d = {
-                i: Fraction(num, den)
+        d_parts = [
+            tuple(
+                (i, Fraction(num, den))
                 for i, (num, den) in enumerate(zip(d_num, depth_orders))
                 if num
-            }
-            for t in product((0, 1), repeat=sig.s):
-                for q in product(q_box, repeat=sig.r):
-                    out.append(element(sig, d=d, t=t, q=q))
-        return out
+            )
+            for d_num in product(*(range(n) for n in depth_orders))
+        ]
+        t_parts = list(product((0, 1), repeat=sig.s))
+        q_parts = list(product(q_box, repeat=sig.r))
+        return [
+            AmbientElement(sig, d, t, q)
+            for d in d_parts
+            for t in t_parts
+            for q in q_parts
+        ]
 
     rng = random.Random(spec.seed)
     out = []
@@ -160,6 +213,7 @@ def enumerate_sample(
     return out
 
 
+@reads_layers()
 def constant_colour(a: AmbientElement):
     """Degenerate one-colour colouring; self-test harness for the sweep."""
     return 0
@@ -169,18 +223,47 @@ def _key_text(key) -> str:
     return colour_encode(key) if isinstance(key, Colour) else repr(key)
 
 
-def _scan_bucket(
-    item: tuple[object, list[AmbientElement]],
-    colour_fn: Callable[[AmbientElement], object],
-) -> list[tuple[str, str, str]]:
-    """Violations within one bucket of elements sharing colour(2a)."""
-    key, elems = item
-    out = []
-    for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            if colour_fn(a + b) == key:
-                out.append((a.canonical_text(), b.canonical_text(), _key_text(key)))
-    return out
+_Code = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+def _encode(elements: Sequence[AmbientElement]) -> tuple[dict[_Code, AmbientElement], int, bool]:
+    """Integer codes of the distinct elements, the Pruefer modulus M, the free mode.
+
+    Returns ``(codes, M, integer)``: ``codes`` maps each code (d, t, q) to the
+    first input element with that code, in input order.  d is the dense
+    tuple of Pruefer numerators over M, t the order-2 bits as a mask, q the
+    free numerators over the lcm of the free denominators.  Distinct
+    elements of one signature have distinct codes.
+    """
+    if not elements:
+        return {}, 1, False
+    sig = elements[0].signature
+    if any(a.signature != sig for a in elements):
+        raise SignatureMismatch("sample mixes elements of different signatures")
+    # Each distinct part object is coded once: samples from enumerate_sample
+    # share their d, t and q tuples, and the input keeps every part alive, so
+    # no id is reused while these tables exist.
+    d_parts = {id(a.d): a.d for a in elements}
+    t_parts = {id(a.t): a.t for a in elements}
+    q_parts = {id(a.q): a.q for a in elements}
+    M = math.lcm(*{coord.denominator for d in d_parts.values() for _, coord in d})
+    L = math.lcm(*{v.denominator for q in q_parts.values() for v in q})
+    n_prufer = len(sig.prufer_factors)
+    d_codes = {}
+    for key, d in d_parts.items():
+        dense = [0] * n_prufer
+        for idx, coord in d:
+            dense[idx] = coord.numerator * (M // coord.denominator)
+        d_codes[key] = tuple(dense)
+    t_codes = {key: sum(bit << k for k, bit in enumerate(t)) for key, t in t_parts.items()}
+    q_codes = {
+        key: tuple([v.numerator * (L // v.denominator) for v in q])
+        for key, q in q_parts.items()
+    }
+    codes: dict[_Code, AmbientElement] = {}
+    for a in elements:
+        codes.setdefault((d_codes[id(a.d)], t_codes[id(a.t)], q_codes[id(a.q)]), a)
+    return codes, M, sig.free_mode == INTEGER
 
 
 @dataclass(frozen=True)
@@ -221,45 +304,67 @@ class TripleReport:
 def find_mono_triples(
     elements: Sequence[AmbientElement],
     colour_fn: Callable[[AmbientElement], object] = colour,
-    parallel: int = 1,
     sample: Optional[dict] = None,
 ) -> TripleReport:
     """Check every unordered pair a != b for colour(2a) = colour(2b) = colour(a+b).
 
     Duplicate elements in the input are collapsed first (the pair condition
-    is element-level).  Elements are bucketed by the colour of their double;
-    only pairs within a bucket can violate, and for those colour(a+b) is
-    compared against the bucket colour.  With ``parallel`` > 1 the buckets
-    are scanned by a process pool (``colour_fn`` must then be picklable);
-    the report is byte-identical to the serial one.
+    is element-level).  Elements are bucketed by the layers of their double
+    that ``colour_fn`` declares (see :func:`~fourfree.colouring.reads_layers`;
+    an undeclared callable raises ``TypeError``); only pairs within a bucket
+    can violate, and for those the layers of a+b are compared against the
+    bucket's.
     """
     start = time.perf_counter()
-    sigs = {a.signature for a in elements}
-    if len(sigs) > 1:
-        raise SignatureMismatch("sample mixes elements of different signatures")
+    layers = getattr(colour_fn, "layers", None)
+    if layers is None:
+        raise TypeError(
+            f"colouring {colour_fn!r} does not declare the layers it reads; "
+            "decorate it with fourfree.colouring.reads_layers"
+        )
+    codes, M, integer = _encode(elements)
+    use_d, use_y, use_h = "d" in layers, "y" in layers, "h" in layers
 
-    uniq = sorted(set(elements), key=AmbientElement.canonical_text)
-    buckets: dict[object, list[AmbientElement]] = {}
-    for a in uniq:
-        buckets.setdefault(colour_fn(a.double()), []).append(a)
+    # Keys hold the d and y layers of 2a, None where unread.  Every double
+    # has t = 0 and even free codes, so it is halvable and h never splits a
+    # bucket; with h read, a pair matches its bucket exactly when a + b is
+    # halvable: equal t and, in integer mode, free codes of equal parity.
+    uniq = list(codes.items())
+    buckets: dict[tuple, list[int]] = {}
+    for i, ((d, _, q), _) in enumerate(uniq):
+        key = (
+            tuple([v for x in d if (v := 2 * x % M)]) if use_d else None,
+            tuple([2 * x for x in q if x]) if use_y else None,
+        )
+        buckets.setdefault(key, []).append(i)
 
-    items = sorted(
-        ((key, elems) for key, elems in buckets.items() if len(elems) > 1),
-        key=lambda kv: _key_text(kv[0]),
-    )
-    candidate_pairs = sum(len(elems) * (len(elems) - 1) // 2 for _, elems in items)
+    candidate_pairs = 0
+    violations = []
+    texts: dict[int, str] = {}
 
-    if parallel > 1 and items:
-        with Pool(parallel) as pool:
-            chunks = pool.map(
-                partial(_scan_bucket, colour_fn=colour_fn),
-                items,
-                chunksize=max(1, len(items) // (4 * parallel)),
-            )
-    else:
-        chunks = [_scan_bucket(item, colour_fn) for item in items]
+    def text(i: int) -> str:
+        if i not in texts:
+            texts[i] = uniq[i][1].canonical_text()
+        return texts[i]
 
-    violations = tuple(sorted(v for chunk in chunks for v in chunk))
+    for (d_key, y_key), members in buckets.items():
+        candidate_pairs += len(members) * (len(members) - 1) // 2
+        hits = []
+        for pos, i in enumerate(members):
+            da, ta, qa = uniq[i][0]
+            for j in members[pos + 1 :]:
+                db, tb, qb = uniq[j][0]
+                if use_h and (ta != tb or integer and any((x + y) & 1 for x, y in zip(qa, qb))):
+                    continue
+                if use_y and tuple([v for x, y in zip(qa, qb) if (v := x + y)]) != y_key:
+                    continue
+                if use_d and tuple([v for x, y in zip(da, db) if (v := (x + y) % M)]) != d_key:
+                    continue
+                hits.append((i, j))
+        if hits:
+            key_text = _key_text(colour_fn(uniq[members[0]][1].double()))
+            violations.extend((*sorted((text(i), text(j))), key_text) for i, j in hits)
+
     n = len(uniq)
     return TripleReport(
         sample=sample,
@@ -268,7 +373,7 @@ def find_mono_triples(
         pairs=n * (n - 1) // 2,
         n_buckets=len(buckets),
         candidate_pairs=candidate_pairs,
-        violations=violations,
+        violations=tuple(sorted(violations)),
         elapsed_s=time.perf_counter() - start,
     )
 
@@ -302,25 +407,21 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
     Elements are grouped by (Pruefer part, free part), which identifies the
     coset; within each group the halvable elements are counted.
     """
-    sigs = {a.signature for a in elements}
-    if len(sigs) > 1:
-        raise SignatureMismatch("sample mixes elements of different signatures")
+    codes, _, integer = _encode(elements)
     cosets: dict[tuple, list[AmbientElement]] = {}
-    for a in set(elements):
-        cosets.setdefault((a.d, a.q), []).append(a)
-    n_halvable = 0
-    offenders = []
-    for members in cosets.values():
-        halvables = sorted(
-            (a.canonical_text() for a in members if is_halvable(a))
-        )
-        n_halvable += len(halvables)
-        if len(halvables) > 1:
-            offenders.append(tuple(halvables))
+    for (d, t, q), a in codes.items():
+        halvables = cosets.setdefault((d, q), [])
+        if not t and not (integer and any(v & 1 for v in q)):
+            halvables.append(a)
+    offenders = [
+        tuple(sorted(a.canonical_text() for a in halvables))
+        for halvables in cosets.values()
+        if len(halvables) > 1
+    ]
     return CosetReport(
-        n_elements=len(set(elements)),
+        n_elements=len(codes),
         n_cosets=len(cosets),
-        n_halvable=n_halvable,
+        n_halvable=sum(len(halvables) for halvables in cosets.values()),
         offenders=tuple(sorted(offenders)),
     )
 

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, report determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -180,18 +181,46 @@ class TestVerify:
         code = main(["verify", "--prufer-depth", "4", "--cap", "100"])
         assert code == EXIT_BUDGET
 
-    def test_reports_reproducible_and_parallel_identical(self, tmp_path, capsys):
+    def test_removed_parallel_flag_is_usage_error(self, capsys):
+        assert main(["verify", "--parallel", "2"]) == EXIT_IO
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+
+    def test_cap_applies_in_random_mode(self, capsys):
+        code = main(["verify", "--mode", "random", "--count", "5", "--cap", "1"])
+        assert code == EXIT_BUDGET
+
+    def test_huge_q_box_exceeds_cap_promptly(self, capsys):
+        start = time.perf_counter()
+        assert main(["verify", "--q-bound", "100000000"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 5.0
+
+    def test_summary_names_evaluated_and_nominal_pairs(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "evaluated 270 candidate pairs" in err
+        assert "of 16110 nominal pairs over 180 elements: 0 violations" in err
+
+    def test_reports_reproducible(self, tmp_path, capsys):
         args = ["verify", "--signature", "prufer=3;s=1;r=1", "--mode", "random",
                 "--count", "800", "--seed", "5", "--q-bound", "2"]
         outs = []
-        for i, extra in enumerate([[], [], ["--parallel", "2"]]):
+        for i in range(2):
             out = tmp_path / f"r{i}.json"
-            assert main(args + extra + ["--output", str(out)]) == EXIT_OK
-            report = json.loads(out.read_text())
-            # parallel degree is part of the echoed config; compare the rest
-            report["config"]["parallel"] = None
-            outs.append(json.dumps(strip_timing(report), sort_keys=True))
-        assert outs[0] == outs[1] == outs[2]
+            assert main(args + ["--output", str(out)]) == EXIT_OK
+            outs.append(json.dumps(strip_timing(json.loads(out.read_text())), sort_keys=True))
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--prufer-depth", "0"],
+    ["verify", "--mode", "random", "--count", "0"],
+    ["search", "--group", "1", "--colours", "2"],
+    ["search", "--colours", "0"],
+])
+def test_bad_flag_is_input_error(argv, capsys):
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestDemo:
@@ -238,3 +267,8 @@ class TestSearch:
 
     def test_bad_group_text(self, capsys):
         assert main(["search", "--group", "4,x", "--colours", "1"]) == EXIT_IO
+
+    def test_group_over_cap_is_budget_exit(self, capsys):
+        code = main(["search", "--group", "64,64", "--colours", "2", "--cap", "10"])
+        assert code == EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("error: group size 4096 exceeds cap 10")

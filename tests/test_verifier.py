@@ -1,12 +1,20 @@
 """Verifier tests: sampling, the pair sweep, coset checks, the order-4 demo."""
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from fourfree.ambient import INTEGER, AmbientSignature, element
-from fourfree.colouring import DROPPED_LAYER_COLOURINGS, colour
+from fourfree.colouring import (
+    DROPPED_LAYER_COLOURINGS,
+    Colour,
+    colour,
+    colour_encode,
+    reads_layers,
+)
 from fourfree.sumset import FiniteGroupSpec
 from fourfree.verifier import (
     SHIPPED_SAMPLES,
@@ -19,6 +27,16 @@ from fourfree.verifier import (
     find_order4_witness,
     order4_obstruction_demo,
 )
+
+
+@reads_layers("d")
+def d_only(a):
+    return a.d_profile()
+
+
+@reads_layers("y")
+def y_only(a):
+    return a.q_profile()
 
 
 class TestEnumerateSample:
@@ -59,6 +77,32 @@ class TestEnumerateSample:
         spec = SampleSpec(AmbientSignature((3, 5), 2, 2), prufer_depth=3)
         with pytest.raises(SampleCapExceeded):
             enumerate_sample(spec, cap=1000)
+
+    def test_cap_enforced_in_random_mode(self):
+        spec = SampleSpec(AmbientSignature((3,), 1, 1), mode="random", count=5)
+        with pytest.raises(SampleCapExceeded):
+            enumerate_sample(spec, cap=4)
+        assert len(enumerate_sample(spec, cap=5)) == 5
+
+    @pytest.mark.parametrize("free_mode", ["rational", INTEGER])
+    def test_q_box_size_counts_the_box(self, free_mode):
+        sig = AmbientSignature((), 0, 1, free_mode=free_mode)
+        for b in range(1, 9):
+            for d in range(1, 9):
+                spec = SampleSpec(sig, q_numerator_bound=b, q_denominator_bound=d)
+                assert spec.q_box_size() == len(spec.q_values()), (b, d)
+                assert spec.cardinality() == len(spec.q_values())
+
+    def test_huge_box_counted_without_building_it(self):
+        spec = SampleSpec(
+            AmbientSignature((), 0, 2), q_numerator_bound=10**6, q_denominator_bound=10**6
+        )
+        start = time.perf_counter()
+        with pytest.raises(SampleCapExceeded):
+            enumerate_sample(spec)
+        assert time.perf_counter() - start < 5.0
+        # 1 + 2 * #coprime pairs in [1, 10^6]^2 (OEIS A018805)
+        assert spec.q_box_size() == 1 + 2 * 607927104783
 
     def test_random_mode_deterministic(self):
         spec = SampleSpec(
@@ -138,11 +182,18 @@ class TestFindMonoTriples:
     def test_single_layer_colourings_also_violate(self):
         # degenerate colourings made of one layer alone are caught too
         sample = enumerate_sample(SHIPPED_SAMPLES["demo-default"])
-        d_only = lambda a: a.d_profile()
-        y_only = lambda a: a.q_profile()
         assert find_mono_triples(sample, d_only).violations
         assert find_mono_triples(sample, y_only).violations
         assert find_mono_triples(sample, colour).ok
+
+    def test_undeclared_colouring_rejected(self):
+        sample = enumerate_sample(SHIPPED_SAMPLES["t-block"])
+        with pytest.raises(TypeError, match="reads_layers"):
+            find_mono_triples(sample, lambda a: a.d_profile())
+
+    def test_unknown_layer_rejected(self):
+        with pytest.raises(ValueError, match="unknown colour layers"):
+            reads_layers("x")
 
     def test_all_shipped_samples_clean(self):
         for name, spec in SHIPPED_SAMPLES.items():
@@ -164,22 +215,102 @@ class TestFindMonoTriples:
             assert a_text < b_text
             assert colour_text == "0"
 
-    def test_parallel_equals_serial(self):
+    def test_report_independent_of_input_order(self):
         spec = SampleSpec(
             AmbientSignature((3, 5), 2, 1), mode="random", count=2000, seed=9
         )
         sample = enumerate_sample(spec)
-        serial = find_mono_triples(sample, sample=spec.describe())
-        parallel = find_mono_triples(sample, parallel=2, sample=spec.describe())
-        assert json.dumps(serial.describe(include_timing=False)) == json.dumps(
-            parallel.describe(include_timing=False)
+        shuffled = list(sample)
+        random.Random(3).shuffle(shuffled)
+        first = find_mono_triples(sample, sample=spec.describe())
+        second = find_mono_triples(shuffled, sample=spec.describe())
+        assert json.dumps(first.describe(include_timing=False)) == json.dumps(
+            second.describe(include_timing=False)
         )
 
-    def test_parallel_equals_serial_with_violations(self):
+    def test_violations_independent_of_input_order(self):
         sample = enumerate_sample(SHIPPED_SAMPLES["d-layer"])
-        serial = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"])
-        parallel = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"], parallel=3)
-        assert serial.violations == parallel.violations and serial.violations
+        forward = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"])
+        backward = find_mono_triples(sample[::-1], DROPPED_LAYER_COLOURINGS["d"])
+        assert forward.violations == backward.violations and forward.violations
+
+
+def brute_force_sweep(elements, colour_fn):
+    """Every unordered pair of distinct elements, with AmbientElement arithmetic.
+
+    Returns (violations, number of distinct colours of doubles, candidate
+    pairs).  Colours of doubles are interned to ints only so that comparing
+    them for each of the ~10^7 pairs of depth-two stays fast.
+    """
+    uniq = sorted(set(elements), key=lambda a: a.canonical_text())
+    ids: dict = {}
+    doubled = [colour_fn(a.double()) for a in uniq]
+    cid = [ids.setdefault(c, len(ids)) for c in doubled]
+    violations = []
+    candidates = 0
+    for i, a in enumerate(uniq):
+        ci = cid[i]
+        for j in range(i + 1, len(uniq)):
+            if cid[j] == ci:
+                candidates += 1
+                if colour_fn(a + uniq[j]) == doubled[i]:
+                    c = doubled[i]
+                    text = colour_encode(c) if isinstance(c, Colour) else repr(c)
+                    violations.append((a.canonical_text(), uniq[j].canonical_text(), text))
+    return tuple(sorted(violations)), len(ids), candidates
+
+
+def _mixed_depth_elements():
+    sig = AmbientSignature((3, 5), 1, 1)
+    return [
+        element(sig, d={0: d0, 1: d1}, t=(t,), q=(q,))
+        for d0 in (0, Fraction(1, 3), Fraction(4, 9), Fraction(2, 27))
+        for d1 in (0, Fraction(1, 5), Fraction(3, 25))
+        for t in (0, 1)
+        for q in (0, Fraction(1, 2), Fraction(-2, 3))
+    ]
+
+
+def _random_with_duplicates():
+    spec = SampleSpec(
+        AmbientSignature((3,), 1, 1), q_numerator_bound=2, mode="random", count=120, seed=4
+    )
+    sample = enumerate_sample(spec)
+    assert len(set(sample)) < len(sample)
+    return sample
+
+
+ORACLE_COLOURINGS = {
+    "colour": colour,
+    "constant": constant_colour,
+    **{f"drop-{layer}": fn for layer, fn in DROPPED_LAYER_COLOURINGS.items()},
+}
+# depth-two has ~2*10^7 pairs; under drop-d and the constant colouring
+# millions of them are candidates, each an AmbientElement addition, which the
+# brute force cannot finish in minutes.
+ORACLE_SKIP = {("depth-two", "drop-d"), ("depth-two", "constant")}
+ORACLE_SAMPLES = {
+    **{name: spec for name, spec in SHIPPED_SAMPLES.items() if name != "main-sweep"},
+    "random-duplicates": _random_with_duplicates,
+    "mixed-depths": _mixed_depth_elements,
+    "empty": list,
+}
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SAMPLES))
+    def test_engine_matches_all_pairs(self, name):
+        source = ORACLE_SAMPLES[name]
+        sample = enumerate_sample(source) if isinstance(source, SampleSpec) else source()
+        for fn_name, fn in ORACLE_COLOURINGS.items():
+            if (name, fn_name) in ORACLE_SKIP:
+                continue
+            report = find_mono_triples(sample, fn)
+            violations, n_buckets, candidates = brute_force_sweep(sample, fn)
+            assert report.violations == violations, (name, fn_name)
+            assert report.n_buckets == n_buckets, (name, fn_name)
+            assert report.candidate_pairs == candidates, (name, fn_name)
+            assert report.distinct == len(set(sample))
 
 
 class TestCosetUniqueness:
