@@ -36,7 +36,7 @@ print("\nprofiles discard indices, supports keep them:")
 c = element(sig, d={0: Fraction(1, 9), 1: Fraction(2, 5)})
 print("  d part of c:", dict(c.d))
 print("  profile:", [str(v) for v in c.d_profile()])
-print("  support:", list(c.d_support()))
+print("  support:", [i for i, _ in c.d])
 
 twin = AmbientSignature((3, 3))
 left = element(twin, d={0: Fraction(1, 3)})
@@ -44,4 +44,4 @@ right = element(twin, d={1: Fraction(1, 3)})
 print("\nwith repeated primes, different supports can share a profile:")
 print("  ", left.canonical_text(), "vs", right.canonical_text())
 print("  same profile?", left.d_profile() == right.d_profile(),
-      "| same support?", left.d_support() == right.d_support())
+      "| same support?", [i for i, _ in left.d] == [i for i, _ in right.d])

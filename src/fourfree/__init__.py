@@ -6,64 +6,25 @@ the embedding of 4-free groups into such ambients, the three-layer colouring
 under which no distinct a, b make {2a, 2b, a+b} monochromatic, exhaustive
 finite verification of that property, and finite search on the order-4 side
 of the contrast.
+
+The package re-exports the names the demos and the README use; everything
+else is imported from its submodule.
 """
 
-from .ambient import (
-    INTEGER,
-    RATIONAL,
-    AmbientElement,
-    AmbientSignature,
-    ElementParseError,
-    Profile,
-    SignatureMismatch,
-    Support,
-    add,
-    double,
-    element,
-    element_order,
-    negate,
-    profile_of,
-    scalar_mul,
-    support_of,
-    zero,
-)
-from .colouring import (
-    Colour,
-    NotHalvable,
-    colour,
-    colour_decode,
-    colour_encode,
-    halve,
-    is_halvable,
-    pi_projection,
-)
-from .embedding import EmbeddingMap, OrderFourPresent, build_embedding, embed
+from .ambient import AmbientSignature, element, zero
+from .colouring import colour, colour_encode
+from .embedding import build_embedding, embed
 from .presentation import (
-    CanonicalDecomposition,
     Presentation,
-    SNFResult,
     adjoin_divisor,
     canonical_decomposition,
     element_order_in,
     has_order_four,
-    invariant_factors,
     smith_normal_form,
 )
-from .sumset import (
-    FiniteGroupSpec,
-    MinColoursResult,
-    SearchResult,
-    all_colourings_forced,
-    find_mono_pair_sumset,
-    min_colours_avoiding,
-)
+from .sumset import all_colourings_forced, find_mono_pair_sumset, min_colours_avoiding
 from .verifier import (
     SHIPPED_SAMPLES,
-    CosetReport,
-    ObstructionDemo,
-    SampleCapExceeded,
-    SampleSpec,
-    TripleReport,
     check_coset_uniqueness,
     enumerate_sample,
     find_mono_triples,

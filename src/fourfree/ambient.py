@@ -41,18 +41,10 @@ __all__ = [
     "AmbientSignature",
     "AmbientElement",
     "Profile",
-    "Support",
     "SignatureMismatch",
     "ElementParseError",
     "element",
     "zero",
-    "add",
-    "negate",
-    "scalar_mul",
-    "double",
-    "element_order",
-    "profile_of",
-    "support_of",
 ]
 
 
@@ -121,40 +113,6 @@ class Profile:
 
     def __bool__(self) -> bool:
         return bool(self.values)
-
-
-@dataclass(frozen=True)
-class Support:
-    """Strictly increasing indices at which an element is nonzero."""
-
-    indices: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("support indices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-
-def _sorted_items(part) -> list[tuple[int, Rat]]:
-    if isinstance(part, Mapping):
-        return sorted((int(i), v) for i, v in part.items())
-    return list(enumerate(part))
-
-
-def profile_of(part) -> Profile:
-    """Profile of a coordinate map or sequence: nonzero values, index order."""
-    return Profile(tuple(Fraction(v) for _, v in _sorted_items(part) if v != 0))
-
-
-def support_of(part) -> Support:
-    """Support of a coordinate map or sequence: indices of nonzero values."""
-    return Support(tuple(i for i, v in _sorted_items(part) if v != 0))
 
 
 def _is_power_of(den: int, p: int) -> bool:
@@ -280,17 +238,11 @@ class AmbientElement:
 
     # -- views -----------------------------------------------------------
 
-    def d_map(self) -> dict[int, Fraction]:
-        return dict(self.d)
-
     def d_profile(self) -> Profile:
         return Profile(tuple(coord for _, coord in self.d))
 
-    def d_support(self) -> Support:
-        return Support(tuple(idx for idx, _ in self.d))
-
     def q_profile(self) -> Profile:
-        return profile_of(self.q)
+        return Profile(tuple(v for v in self.q if v))
 
     # -- canonical text --------------------------------------------------
 
@@ -362,23 +314,3 @@ def element(
 
 def zero(signature: AmbientSignature) -> AmbientElement:
     return element(signature)
-
-
-def add(a: AmbientElement, b: AmbientElement) -> AmbientElement:
-    return a + b
-
-
-def negate(a: AmbientElement) -> AmbientElement:
-    return -a
-
-
-def scalar_mul(n: int, a: AmbientElement) -> AmbientElement:
-    return n * a
-
-
-def double(a: AmbientElement) -> AmbientElement:
-    return 2 * a
-
-
-def element_order(a: AmbientElement) -> Union[int, float]:
-    return a.order()

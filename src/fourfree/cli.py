@@ -323,35 +323,36 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    orders = _parse_orders(args.group)
-    demo = order4_obstruction_demo(orders)
+    group = _parse_group(args.group)
+    if group.size > DEFAULT_GROUP_CAP:
+        raise CliError(f"group size {group.size} exceeds cap {DEFAULT_GROUP_CAP}", EXIT_BUDGET)
+    demo = order4_obstruction_demo(group.orders)
     for line in demo.transcript:
         print(line)
     if args.output:
-        report = {"config": {"subcommand": "demo", "group": list(orders)}, "demo": demo.describe()}
-        _emit(report, args.output, stdout_json=False)
+        config = {"subcommand": "demo", "group": list(group.orders)}
+        _emit({"config": config, "demo": demo.describe()}, args.output, stdout_json=False)
     return EXIT_OK
 
 
-def _parse_orders(text: str) -> tuple[int, ...]:
+def _parse_group(text: str) -> FiniteGroupSpec:
     try:
         orders = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise CliError(f"bad group orders {text!r} (expected e.g. 4,4)")
     if not orders:
         raise CliError("empty group orders")
-    return orders
+    try:
+        return FiniteGroupSpec(orders)
+    except ValueError as exc:
+        raise CliError(f"bad group orders {text!r}: {exc}")
 
 
 def cmd_search(args) -> int:
-    orders = _parse_orders(args.group)
-    try:
-        group = FiniteGroupSpec(orders)
-    except ValueError as exc:
-        raise CliError(f"bad group orders {args.group!r}: {exc}")
+    group = _parse_group(args.group)
     config = {
         "subcommand": "search",
-        "group": list(orders),
+        "group": list(group.orders),
         "colours": args.colours,
         "min_colours": args.min_colours,
         "budget": args.budget,
@@ -435,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="4", help="cyclic orders, e.g. 4 or 4,4")
     p.add_argument("--colours", type=int, default=None)
     p.add_argument("--min-colours", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="colour assignments to try over the whole run")
     p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
     p.add_argument("--output", help="write JSON report here")
     p.set_defaults(func=cmd_search)

@@ -20,7 +20,6 @@ with values as reduced fraction strings; the zero element encodes as
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,13 +29,11 @@ from .ambient import INTEGER, AmbientElement, Profile
 __all__ = [
     "Colour",
     "NotHalvable",
-    "pi_projection",
     "is_halvable",
     "halve",
     "colour",
     "colour_encode",
     "colour_decode",
-    "colour_tag",
     "colour_drop_d",
     "colour_drop_y",
     "colour_drop_halvable",
@@ -54,11 +51,6 @@ class Colour:
     d_profile: Profile
     y_profile: Profile
     halvable: bool
-
-
-def pi_projection(a: AmbientElement) -> tuple[Fraction, ...]:
-    """Free coordinates of an element; the order-2 block is the kernel."""
-    return a.q
 
 
 def is_halvable(a: AmbientElement) -> bool:
@@ -144,11 +136,6 @@ def colour_decode(text: str) -> Colour:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad colour value in {text!r}: {exc}") from None
     return Colour(Profile(d_vals), Profile(y_vals), m.group("h") == "1")
-
-
-def colour_tag(c: Colour) -> str:
-    """Short display hash of a colour; never used for equality."""
-    return hashlib.sha256(colour_encode(c).encode()).hexdigest()[:8]
 
 
 # Diagnostic colourings with one layer removed; each layer is load-bearing,

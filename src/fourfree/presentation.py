@@ -27,7 +27,6 @@ __all__ = [
     "Presentation",
     "CanonicalDecomposition",
     "smith_normal_form",
-    "invariant_factors",
     "canonical_decomposition",
     "has_order_four",
     "adjoin_divisor",
@@ -175,10 +174,6 @@ def smith_normal_form(A: Matrix, n_cols: Union[int, None] = None) -> SNFResult:
 
     freeze = lambda rows: tuple(tuple(row) for row in rows)
     return SNFResult(freeze(U), freeze(S), freeze(V))
-
-
-def invariant_factors(A: Matrix, n_cols: Union[int, None] = None) -> tuple[int, ...]:
-    return smith_normal_form(A, n_cols).invariant_factors
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,20 @@ def find_mono_pair_sumset(
     return None
 
 
+def _witness_table(
+    group: FiniteGroupSpec, witness: Optional[tuple[int, ...]]
+) -> Optional[dict[Elem, int]]:
+    """A search witness (one colour per element, lex order) keyed by element."""
+    return None if witness is None else dict(zip(group.elements(), witness))
+
+
+def _witness_json(
+    group: FiniteGroupSpec, witness: Optional[tuple[int, ...]]
+) -> Optional[dict[str, int]]:
+    table = _witness_table(group, witness)
+    return None if table is None else {str(list(e)): c for e, c in sorted(table.items())}
+
+
 @dataclass(frozen=True)
 class SearchResult:
     group: FiniteGroupSpec
@@ -113,19 +127,14 @@ class SearchResult:
     elapsed_s: float
 
     def witness_table(self) -> Optional[dict[Elem, int]]:
-        if self.witness is None:
-            return None
-        return dict(zip(self.group.elements(), self.witness))
+        return _witness_table(self.group, self.witness)
 
     def describe(self) -> dict:
-        witness = self.witness_table()
         return {
             "group": self.group.describe(),
             "colours": self.colours,
             "verdict": self.verdict,
-            "witness": None
-            if witness is None
-            else {str(list(e)): c for e, c in sorted(witness.items())},
+            "witness": _witness_json(self.group, self.witness),
             "nodes": self.nodes,
             "elapsed_s": self.elapsed_s,
         }
@@ -227,19 +236,14 @@ class MinColoursResult:
     elapsed_s: float
 
     def witness_table(self) -> Optional[dict[Elem, int]]:
-        if self.witness is None:
-            return None
-        return dict(zip(self.group.elements(), self.witness))
+        return _witness_table(self.group, self.witness)
 
     def describe(self) -> dict:
-        witness = self.witness_table()
         return {
             "group": self.group.describe(),
             "verdict": self.verdict,
             "min_colours": self.count,
-            "witness": None
-            if witness is None
-            else {str(list(e)): c for e, c in sorted(witness.items())},
+            "witness": _witness_json(self.group, self.witness),
             "nodes": self.nodes,
             "elapsed_s": self.elapsed_s,
         }
@@ -254,11 +258,13 @@ def min_colours_avoiding(
 
     Terminates by c = |G|: an injective colouring always avoids, since
     col(2x) = col(2y) = col(x+y) would force 2x = 2y = x+y and hence x = y.
+    ``budget`` caps the colour assignments tried over the whole run, summed
+    across colour counts; exceeding it yields verdict ``unknown``.
     """
     start = time.perf_counter()
     nodes = 0
     for c in range(1, group.size + 1):
-        res = all_colourings_forced(group, c, budget=budget, cap=cap)
+        res = all_colourings_forced(group, c, budget=budget - nodes, cap=cap)
         nodes += res.nodes
         if res.verdict == "unknown":
             return MinColoursResult(

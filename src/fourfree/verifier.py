@@ -34,17 +34,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .ambient import (
     INTEGER,
     AmbientElement,
     AmbientSignature,
     SignatureMismatch,
-    element,
 )
 from .colouring import Colour, colour, colour_encode, reads_layers
-from .sumset import FiniteGroupSpec
+from .sumset import Elem, FiniteGroupSpec
 
 DEFAULT_SAMPLE_CAP = 100_000
 
@@ -202,14 +201,14 @@ def enumerate_sample(
     rng = random.Random(spec.seed)
     out = []
     for _ in range(spec.count):
-        d = {}
+        d = []
         for i, den in enumerate(depth_orders):
             num = rng.randrange(den)
             if num:
-                d[i] = Fraction(num, den)
+                d.append((i, Fraction(num, den)))
         t = [rng.randrange(2) for _ in range(sig.s)]
         q = [q_box[rng.randrange(len(q_box))] for _ in range(sig.r)]
-        out.append(element(sig, d=d, t=t, q=q))
+        out.append(AmbientElement(sig, tuple(d), tuple(t), tuple(q)))
     return out
 
 
@@ -435,30 +434,18 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
 # the same search provably finds nothing.
 
 
-def find_order4_witness(
-    group: FiniteGroupSpec,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _order4_witnesses(group: FiniteGroupSpec) -> Iterator[tuple[Elem, Elem]]:
+    """Pairs g < h (lex) with 2g != 2h and 2g - 2h of order 2, in lex order."""
+    doubled = [(g, group.double(g)) for g in group.elements()]
+    for i, (g, dg) in enumerate(doubled):
+        for h, dh in doubled[i + 1 :]:
+            if dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2:
+                yield g, h
+
+
+def find_order4_witness(group: FiniteGroupSpec) -> Optional[tuple[Elem, Elem]]:
     """First (lex) pair g < h with 2g != 2h and 2g - 2h of order 2, or None."""
-    elems = group.elements()
-    for i, g in enumerate(elems):
-        dg = group.double(g)
-        for h in elems[i + 1 :]:
-            dh = group.double(h)
-            if dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2:
-                return (g, h)
-    return None
-
-
-def _all_order4_witnesses(group: FiniteGroupSpec) -> list[tuple]:
-    out = []
-    elems = group.elements()
-    for i, g in enumerate(elems):
-        dg = group.double(g)
-        for h in elems[i + 1 :]:
-            dh = group.double(h)
-            if dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2:
-                out.append((g, h))
-    return out
+    return next(_order4_witnesses(group), None)
 
 
 @dataclass(frozen=True)
@@ -491,7 +478,7 @@ def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
     the search comes up empty, matching the hypothesis of the colouring.
     """
     group = FiniteGroupSpec(tuple(orders))
-    witnesses = _all_order4_witnesses(group)
+    witnesses = list(_order4_witnesses(group))
     lines = [
         f"group: direct sum of cyclic orders {list(group.orders)} ({group.size} elements)",
         "searching for pairs (g, h) with 2g != 2h and 2g - 2h of order 2 ...",
@@ -510,12 +497,13 @@ def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
         e = [0] * len(group.orders)
         e[i] = 1
         units.append(tuple(e))
+    witness_set = set(witnesses)
     featured = next(
         (
             (g, h)
             for gi, g in enumerate(units)
             for h in units[gi + 1 :]
-            if (g, h) in set(witnesses) or (h, g) in set(witnesses)
+            if (g, h) in witness_set or (h, g) in witness_set
         ),
         witnesses[0],
     )

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import product
 
 from fourfree.ambient import INTEGER, AmbientSignature, element
-from fourfree.arith import det
 from fourfree.colouring import (
     DROPPED_LAYER_COLOURINGS,
     halve,
@@ -27,7 +26,6 @@ from fourfree.presentation import (
     canonical_decomposition,
     element_order_in,
     has_order_four,
-    invariant_factors,
     smith_normal_form,
 )
 from fourfree.sumset import (
@@ -45,6 +43,7 @@ from fourfree.verifier import (
     find_order4_witness,
 )
 
+from conftest import det
 from test_presentation import all_abelian_groups, brute_force_orders, mat_mul
 from test_sumset import brute_force_forced
 
@@ -190,7 +189,7 @@ def test_c06_adjoin_divisor_preserves_four_freeness():
         done += 1
 
     adjoined = adjoin_divisor(Presentation(1, ((3,),)), (1,), 3)
-    facs = invariant_factors(adjoined.relations)
+    facs = smith_normal_form(adjoined.relations).invariant_factors
     dec = canonical_decomposition(adjoined)
     ok = facs == (1, 9) and dec == CanonicalDecomposition(0, ((3, 2),))
     verdict(

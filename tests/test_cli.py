@@ -216,6 +216,7 @@ class TestVerify:
     ["verify", "--mode", "random", "--count", "0"],
     ["search", "--group", "1", "--colours", "2"],
     ["search", "--colours", "0"],
+    ["demo", "--group", "1"],
 ])
 def test_bad_flag_is_input_error(argv, capsys):
     assert main(argv) == EXIT_IO
@@ -235,6 +236,13 @@ class TestDemo:
     def test_four_free_demo(self, capsys):
         assert main(["demo", "--group", "2,2"]) == EXIT_OK
         assert "no witness exists" in capsys.readouterr().out
+
+    def test_group_over_cap_is_budget_exit(self, capsys):
+        start = time.perf_counter()
+        assert main(["demo", "--group", "64,128"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: group size 8192 exceeds cap 4096"]
 
 
 class TestSearch:

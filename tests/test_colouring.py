@@ -26,7 +26,6 @@ from fourfree.colouring import (
     colour_drop_y,
     halve,
     is_halvable,
-    pi_projection,
 )
 
 from conftest import random_element
@@ -64,18 +63,13 @@ def doubles_of_grid(sig, depth=1, q_num=3, q_den=2):
 
 
 class TestPiProjection:
-    def test_zero(self):
-        assert pi_projection(zero(SIG)) == (0, 0)
-
-    def test_keeps_q_drops_t_and_d(self):
-        a = element(SIG, d={0: Fraction(1, 3)}, t=(1, 0), q=(Fraction(3, 2), 0))
-        assert pi_projection(a) == (Fraction(3, 2), 0)
+    """The projection pi onto the free part is ``a.q``."""
 
     def test_kernel_is_t(self, rng):
+        t_elem = element(SIG, t=(1, 1))
         for _ in range(100):
             a = random_element(rng, SIG)
-            b = a + element(SIG, t=(1, 1))
-            assert pi_projection(a) == pi_projection(b)
+            assert (a + t_elem).q == a.q
 
 
 class TestIsHalvable:

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from fourfree.arith import det, factorize
+from fourfree.arith import factorize
 from fourfree.presentation import (
     CanonicalDecomposition,
     Presentation,
@@ -15,9 +15,10 @@ from fourfree.presentation import (
     canonical_decomposition,
     element_order_in,
     has_order_four,
-    invariant_factors,
     smith_normal_form,
 )
+
+from conftest import det
 
 
 def mat_mul(A, B):
@@ -110,7 +111,7 @@ class TestSmithNormalForm:
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
             A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            facs = invariant_factors(A)
+            facs = smith_normal_form(A).invariant_factors
             prod = 1
             for k, d in enumerate(facs, start=1):
                 prod *= d
@@ -218,7 +219,7 @@ class TestAdjoinDivisor:
     def test_z3_becomes_z9(self):
         pres = adjoin_divisor(Presentation(1, ((3,),)), (1,), 3)
         assert pres.relations == ((3, 0), (-1, 3))
-        assert invariant_factors(pres.relations) == (1, 9)
+        assert smith_normal_form(pres.relations).invariant_factors == (1, 9)
         dec = canonical_decomposition(pres)
         assert dec.free_rank == 0 and dec.primary_factors == ((3, 2),)
 

@@ -132,6 +132,14 @@ class TestMinColoursAvoiding:
         res = min_colours_avoiding(Z4, budget=0)
         assert res.verdict == "unknown" and res.count is None
 
+    def test_budget_covers_the_whole_run(self):
+        # Z4 + Z4 needs 12,316 nodes over colour counts 1..4 in all
+        group = FiniteGroupSpec((4, 4))
+        short = min_colours_avoiding(group, budget=12_100)
+        assert short.verdict == "unknown" and short.nodes <= 12_100
+        exact = min_colours_avoiding(group, budget=12_316)
+        assert exact.verdict == "ok" and exact.count == 4 and exact.nodes == 12_316
+
 
 class TestAutomorphismInvariance:
     def test_coordinate_swap_on_z4_squared(self):
