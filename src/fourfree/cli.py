@@ -176,6 +176,13 @@ def _emit(report: dict, output: Optional[str], stdout_json: bool = True) -> None
 # -- subcommands -------------------------------------------------------------
 
 
+def _config(args, **overrides) -> dict:
+    """The parsed flags as the report's ``config`` block, without ``output``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("output", "func")}
+    config.update(overrides)
+    return config
+
+
 def _analysis_dict(pres: Presentation) -> dict:
     snf = smith_normal_form(pres.relations, n_cols=pres.n_generators)
     dec = canonical_decomposition(pres)
@@ -194,7 +201,7 @@ def _analysis_dict(pres: Presentation) -> dict:
 def cmd_analyze(args) -> int:
     pres = load_presentation(args.input)
     report = {
-        "config": {"subcommand": "analyze", "input": args.input},
+        "config": _config(args),
         "analysis": _analysis_dict(pres),
     }
     _emit(report, args.output)
@@ -205,7 +212,7 @@ def cmd_embed(args) -> int:
     pres = load_presentation(args.input)
     analysis = _analysis_dict(pres)
     report = {
-        "config": {"subcommand": "embed", "input": args.input, "free_mode": args.free_mode},
+        "config": _config(args),
         "analysis": analysis,
     }
     if analysis["has_order_four"]:
@@ -252,20 +259,7 @@ def cmd_colour(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = {
-        "subcommand": "verify",
-        "input": args.input,
-        "signature": args.signature,
-        "free_mode": args.free_mode,
-        "prufer_depth": args.prufer_depth,
-        "q_bound": args.q_bound,
-        "q_den_bound": args.q_den_bound,
-        "mode": args.mode,
-        "count": args.count,
-        "seed": args.seed,
-        "cap": args.cap,
-        "drop_layer": args.drop_layer,
-    }
+    config = _config(args)
     report: dict = {"config": config}
 
     if args.input:
@@ -330,8 +324,8 @@ def cmd_demo(args) -> int:
     for line in demo.transcript:
         print(line)
     if args.output:
-        config = {"subcommand": "demo", "group": list(group.orders)}
-        _emit({"config": config, "demo": demo.describe()}, args.output, stdout_json=False)
+        report = {"config": _config(args, group=list(group.orders)), "demo": demo.describe()}
+        _emit(report, args.output, stdout_json=False)
     return EXIT_OK
 
 
@@ -350,14 +344,6 @@ def _parse_group(text: str) -> FiniteGroupSpec:
 
 def cmd_search(args) -> int:
     group = _parse_group(args.group)
-    config = {
-        "subcommand": "search",
-        "group": list(group.orders),
-        "colours": args.colours,
-        "min_colours": args.min_colours,
-        "budget": args.budget,
-        "cap": args.cap,
-    }
     if not args.min_colours and args.colours is None:
         raise CliError("search needs --colours N or --min-colours")
     try:
@@ -369,7 +355,7 @@ def cmd_search(args) -> int:
         raise CliError(str(exc), EXIT_BUDGET)
     except ValueError as exc:
         raise CliError(str(exc))
-    report = {"config": config, "result": res.describe()}
+    report = {"config": _config(args, group=list(group.orders)), "result": res.describe()}
     _emit(report, args.output)
     if res.verdict == "unknown":
         print("verdict: unknown (budget exceeded)", file=sys.stderr)

@@ -4,9 +4,12 @@ A presentation is an integer relation matrix over a fixed generator count;
 the group is Z^n modulo the row space.  Smith normal form diagonalizes the
 relation matrix with unimodular transforms, giving invariant factors and the
 canonical decomposition (free rank plus prime-power cyclic factors), from
-which order-4 elements are detected.  ``adjoin_divisor`` performs the
-one-step extension that makes a chosen element divisible by an odd prime
-without introducing order-4 elements.
+which order-4 elements are detected.  An m x n matrix A is reduced inside
+one bordered matrix [[A | I_m], [I_n | 0]], so each row operation carries U
+along and each column operation carries V.  The transforms are kept in full
+and never reduced, so their entries can grow quickly with the size of A.
+``adjoin_divisor`` performs the one-step extension that makes a chosen
+element divisible by an odd prime without introducing order-4 elements.
 
 Canonical generators of a decomposition are ordered: primary factors first,
 sorted by (prime, exponent), then the free generators.  Coordinate vectors
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .arith import factorize, identity_matrix, is_odd_prime, xgcd
+from .arith import factorize, is_odd_prime, xgcd
 
 __all__ = [
     "SNFResult",
@@ -63,117 +66,90 @@ def smith_normal_form(A: Matrix, n_cols: Union[int, None] = None) -> SNFResult:
     matrices are allowed; ``n_cols`` disambiguates the width of a matrix with
     no rows.
     """
-    S = [list(map(int, row)) for row in A]
-    m = len(S)
-    n = len(S[0]) if m else int(n_cols or 0)
-    if any(len(row) != n for row in S):
+    m = len(A)
+    n = len(A[0]) if m else int(n_cols or 0)
+    if any(len(row) != n for row in A):
         raise ValueError("relation matrix is not rectangular")
-    U = identity_matrix(m)
-    V = identity_matrix(n)
+    # W = [[A | I_m], [I_n | 0]]: a row operation on the first m rows updates
+    # S and U together, a column operation on the first n columns S and V.
+    W = [[int(x) for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(A)]
+    W += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
 
     def add_row(dst, src, c):  # row_dst += c * row_src
-        S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+        W[dst] = [x + c * y for x, y in zip(W[dst], W[src])]
 
     def combine_rows(r1, r2, x, y, u, v):
         # (row_r1, row_r2) <- (x*r1 + y*r2, u*r1 + v*r2); x*v - y*u = 1
-        S[r1], S[r2] = (
-            [x * p + y * q for p, q in zip(S[r1], S[r2])],
-            [u * p + v * q for p, q in zip(S[r1], S[r2])],
-        )
-        U[r1], U[r2] = (
-            [x * p + y * q for p, q in zip(U[r1], U[r2])],
-            [u * p + v * q for p, q in zip(U[r1], U[r2])],
+        W[r1], W[r2] = (
+            [x * p + y * q for p, q in zip(W[r1], W[r2])],
+            [u * p + v * q for p, q in zip(W[r1], W[r2])],
         )
 
     def add_col(dst, src, c):  # col_dst += c * col_src
-        for row in S:
-            row[dst] += c * row[src]
-        for row in V:
+        for row in W:
             row[dst] += c * row[src]
 
     def combine_cols(c1, c2, x, y, u, v):
-        for row in S:
+        for row in W:
             p, q = row[c1], row[c2]
             row[c1], row[c2] = x * p + y * q, u * p + v * q
-        for row in V:
-            p, q = row[c1], row[c2]
-            row[c1], row[c2] = x * p + y * q, u * p + v * q
-
-    def swap_rows(a, b):
-        S[a], S[b] = S[b], S[a]
-        U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        for row in S:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-
-    def negate_row(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
 
     k = 0
-    limit = min(m, n)
-    while k < limit:
+    while k < min(m, n):
         # smallest nonzero |entry| in the trailing submatrix becomes the pivot
         best = 0
         pi = pj = -1
         for i in range(k, m):
             for j in range(k, n):
-                v = abs(S[i][j])
+                v = abs(W[i][j])
                 if v and (best == 0 or v < best):
                     best, pi, pj = v, i, j
         if best == 0:
             break
-        if pi != k:
-            swap_rows(pi, k)
-        if pj != k:
-            swap_cols(pj, k)
-        if S[k][k] < 0:
-            negate_row(k)
+        W[pi], W[k] = W[k], W[pi]
+        for row in W:
+            row[pj], row[k] = row[k], row[pj]
+        if W[k][k] < 0:
+            W[k] = [-x for x in W[k]]
 
         # clear column and row k; each gcd step replaces the pivot by a
         # proper divisor, so the alternation terminates quickly
         while True:
             changed = False
             for i in range(k + 1, m):
-                b = S[i][k]
-                if b:
-                    a = S[k][k]
-                    if b % a == 0:
-                        add_row(i, k, -(b // a))
-                    else:
-                        g, x, y = xgcd(a, b)
-                        combine_rows(k, i, x, y, -(b // g), a // g)
-                        changed = True
+                a, b = W[k][k], W[i][k]
+                if b % a:
+                    g, x, y = xgcd(a, b)
+                    combine_rows(k, i, x, y, -(b // g), a // g)
+                    changed = True
+                elif b:
+                    add_row(i, k, -(b // a))
             for j in range(k + 1, n):
-                b = S[k][j]
-                if b:
-                    a = S[k][k]
-                    if b % a == 0:
-                        add_col(j, k, -(b // a))
-                    else:
-                        g, x, y = xgcd(a, b)
-                        combine_cols(k, j, x, y, -(b // g), a // g)
-                        changed = True
+                a, b = W[k][k], W[k][j]
+                if b % a:
+                    g, x, y = xgcd(a, b)
+                    combine_cols(k, j, x, y, -(b // g), a // g)
+                    changed = True
+                elif b:
+                    add_col(j, k, -(b // a))
             if not changed:
                 break
 
-        # pivot must divide everything that remains, so the chain holds
-        pulled = False
+        # pivot must divide everything that remains, so the chain holds;
+        # otherwise pull the first offending row into the pivot row and repeat
+        pivot = W[k][k]
         for i in range(k + 1, m):
-            if any(S[i][j] % S[k][k] for j in range(k + 1, n)):
+            if any(W[i][j] % pivot for j in range(k + 1, n)):
                 add_row(k, i, 1)
-                pulled = True
                 break
-        if pulled:
-            continue
-        k += 1
+        else:
+            k += 1
 
-    freeze = lambda rows: tuple(tuple(row) for row in rows)
-    return SNFResult(freeze(U), freeze(S), freeze(V))
+    return SNFResult(
+        tuple(tuple(row[n:]) for row in W[:m]),
+        tuple(tuple(row[:n]) for row in W[:m]),
+        tuple(tuple(row[:n]) for row in W[m:]),
+    )
 
 
 @dataclass(frozen=True)

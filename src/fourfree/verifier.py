@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ambient import (
     INTEGER,
@@ -171,14 +171,18 @@ def enumerate_sample(
     the seed with a fixed draw order (Pruefer coordinates by index, then t
     bits, then free coordinates).  Either mode raises
     :class:`SampleCapExceeded` before building anything when it would yield
-    more than ``cap`` elements.
+    more than ``cap`` elements or draw from a free-coordinate box of more than
+    ``cap`` values; the box is built only when free coordinates are drawn.
     """
     total = spec.cardinality() if spec.mode == "exhaustive" else spec.count
     if total > cap:
         raise SampleCapExceeded(f"{spec.mode} sample has {total} elements, cap is {cap}")
     sig = spec.signature
+    box_size = spec.q_box_size() if sig.r else 0
+    if box_size > cap:
+        raise SampleCapExceeded(f"free-coordinate box has {box_size} values, cap is {cap}")
     depth_orders = [p**spec.prufer_depth for p in sig.prufer_factors]
-    q_box = spec.q_values()
+    q_box = spec.q_values() if sig.r else ()
 
     if spec.mode == "exhaustive":
         d_parts = [
@@ -434,18 +438,38 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
 # the same search provably finds nothing.
 
 
-def _order4_witnesses(group: FiniteGroupSpec) -> Iterator[tuple[Elem, Elem]]:
-    """Pairs g < h (lex) with 2g != 2h and 2g - 2h of order 2, in lex order."""
-    doubled = [(g, group.double(g)) for g in group.elements()]
-    for i, (g, dg) in enumerate(doubled):
-        for h, dh in doubled[i + 1 :]:
-            if dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2:
-                yield g, h
+def _is_order4_witness(group: FiniteGroupSpec, g: Elem, h: Elem) -> bool:
+    dg, dh = group.double(g), group.double(h)
+    return dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2
+
+
+def _order4_witnesses(group: FiniteGroupSpec) -> tuple[int, Optional[tuple[Elem, Elem]]]:
+    """Number of pairs g < h (lex) with 2g != 2h and 2g - 2h of order 2, and the first.
+
+    2g - 2h has order 2 exactly when 4g = 4h and 2g != 2h, so the witnesses
+    are the pairs inside one class of 4g that lie in different classes of 2g.
+    Elements arrive in lex order, so classes come in the order of their least
+    members, and the first witness pairs the least member of the first class
+    with two subclasses with the least member of its other subclasses.
+    """
+    classes: dict[Elem, dict[Elem, list[Elem]]] = {}
+    for g in group.elements():
+        dg = group.double(g)
+        classes.setdefault(group.double(dg), {}).setdefault(dg, []).append(g)
+    count = 0
+    first = None
+    for by_double in classes.values():
+        sizes = [len(members) for members in by_double.values()]
+        count += (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
+        if first is None and len(sizes) > 1:
+            (g, *_), *others = by_double.values()
+            first = (g, min(members[0] for members in others))
+    return count, first
 
 
 def find_order4_witness(group: FiniteGroupSpec) -> Optional[tuple[Elem, Elem]]:
     """First (lex) pair g < h with 2g != 2h and 2g - 2h of order 2, or None."""
-    return next(_order4_witnesses(group), None)
+    return _order4_witnesses(group)[1]
 
 
 @dataclass(frozen=True)
@@ -478,13 +502,13 @@ def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
     the search comes up empty, matching the hypothesis of the colouring.
     """
     group = FiniteGroupSpec(tuple(orders))
-    witnesses = list(_order4_witnesses(group))
+    count, first = _order4_witnesses(group)
     lines = [
         f"group: direct sum of cyclic orders {list(group.orders)} ({group.size} elements)",
         "searching for pairs (g, h) with 2g != 2h and 2g - 2h of order 2 ...",
-        f"witness pairs found: {len(witnesses)}",
+        f"witness pairs found: {count}",
     ]
-    if not witnesses:
+    if first is None:
         lines.append(
             "no witness exists: the group is 4-free, so doubles that differ "
             "never differ by an order-2 element, and halving stays unambiguous."
@@ -492,20 +516,16 @@ def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
         return ObstructionDemo(group, None, None, None, 0, tuple(lines))
 
     # feature the generator pair if it qualifies, else the lex-first witness
-    units = []
-    for i in range(len(group.orders)):
-        e = [0] * len(group.orders)
-        e[i] = 1
-        units.append(tuple(e))
-    witness_set = set(witnesses)
+    rank = len(group.orders)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     featured = next(
         (
             (g, h)
             for gi, g in enumerate(units)
             for h in units[gi + 1 :]
-            if (g, h) in witness_set or (h, g) in witness_set
+            if _is_order4_witness(group, g, h)
         ),
-        witnesses[0],
+        first,
     )
     g, h = featured
     u, v = group.double(g), group.double(h)
@@ -524,7 +544,7 @@ def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
         "coset of the order-2 part and the halvability colour stops working.",
     ]
     return ObstructionDemo(
-        group, featured, (u, v), group.order_of(diff), len(witnesses), tuple(lines)
+        group, featured, (u, v), group.order_of(diff), count, tuple(lines)
     )
 
 

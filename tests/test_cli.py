@@ -194,6 +194,22 @@ class TestVerify:
         assert main(["verify", "--q-bound", "100000000"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 5.0
 
+    def test_no_free_coordinates_skips_q_box(self, capsys):
+        start = time.perf_counter()
+        argv = ["verify", "--signature", "prufer=3;s=1;r=0", "--q-bound", "1000000"]
+        assert main(argv) == EXIT_OK
+        assert time.perf_counter() - start < 2.0
+        assert json.loads(capsys.readouterr().out)["triple_report"]["distinct"] == 6
+
+    def test_random_mode_q_box_over_cap_exits_before_building_it(self, capsys):
+        start = time.perf_counter()
+        argv = ["verify", "--mode", "random", "--count", "5",
+                "--q-bound", "200000", "--q-den-bound", "2"]
+        assert main(argv) == EXIT_BUDGET
+        assert time.perf_counter() - start < 2.0
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "free-coordinate box has 600001 values, cap is 100000"
+
     def test_summary_names_evaluated_and_nominal_pairs(self, capsys):
         assert main(["verify"]) == EXIT_OK
         err = capsys.readouterr().err
@@ -224,6 +240,30 @@ def test_bad_flag_is_input_error(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_config_echoes_every_flag_but_output(tmp_path, capsys):
+    pres = write(tmp_path / "z2z6.txt", Z2_Z6_FILE)
+    out = tmp_path / "r.json"
+    cases = [
+        (["analyze", "--input", pres], {"subcommand": "analyze", "input": pres}),
+        (["embed", "--input", pres], {"subcommand": "embed", "input": pres, "free_mode": "rational"}),
+        (["verify", "--seed", "3"], {
+            "subcommand": "verify", "input": None, "signature": None, "free_mode": "rational",
+            "prufer_depth": 1, "q_bound": 1, "q_den_bound": 1, "mode": "exhaustive",
+            "count": 1000, "seed": 3, "cap": 100000, "drop_layer": None,
+        }),
+        (["demo", "--group", "4, 2"], {"subcommand": "demo", "group": [4, 2]}),
+        (["search", "--group", "4", "--colours", "1"], {
+            "subcommand": "search", "group": [4], "colours": 1, "min_colours": False,
+            "budget": 1_000_000, "cap": 4096,
+        }),
+    ]
+    for argv, config in cases:
+        main(argv + ["--output", str(out)])
+        echoed = json.loads(out.read_text())["config"]
+        echoed.pop("resolved_signature", None)
+        assert list(echoed.items()) == list(config.items())
+
+
 class TestDemo:
     def test_transcript_and_json(self, tmp_path, capsys):
         out = tmp_path / "demo.json"
@@ -243,6 +283,14 @@ class TestDemo:
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: group size 8192 exceeds cap 4096"]
+
+    def test_largest_admitted_group_is_prompt(self, capsys):
+        start = time.perf_counter()
+        assert main(["demo", "--group", "64,64"]) == EXIT_OK
+        assert time.perf_counter() - start < 5.0
+        out = capsys.readouterr().out
+        assert "witness pairs found: 24576" in out
+        assert "featured witness: g = (0, 0), h = (0, 16)" in out
 
 
 class TestSearch:

@@ -97,6 +97,33 @@ class TestSmithNormalForm:
         check_snf([[2, 4, 4]])
         check_snf([[2], [4], [4]])
 
+    @pytest.mark.parametrize("A, U, S, V", [
+        # demo 02
+        ([[4, 6], [2, 8]], [[0, 1], [-1, 2]], [[2, 0], [0, 10]], [[1, -4], [0, 1]]),
+        # 3 is no multiple of the pivot 2: the row xgcd branch
+        ([[2, 4], [3, 5]], [[-1, 1], [3, -2]], [[1, 0], [0, 2]], [[1, -1], [0, 1]]),
+        # 2 does not divide 3: the pull step, then the column xgcd branch
+        ([[2, 0], [0, 3]], [[1, 1], [-3, -2]], [[1, 0], [0, 6]], [[-1, -3], [1, 2]]),
+        # -4 is a negative multiple of the pivot 2: the row exact branch,
+        # whose coefficients differ from those xgcd would give
+        ([[2, 4], [-4, 3]], [[3, 1], [-31, -10]], [[1, 0], [0, 22]], [[-7, -15], [1, 2]]),
+        # three entries tie for the smallest |entry|: the first in row-major order wins
+        ([[2, 1, 3], [1, 4, 1]], [[1, 0], [4, -1]], [[1, 0, 0], [0, 1, 0]],
+         [[0, -3, -11], [1, 0, 1], [0, 2, 7]]),
+        # a zero row, and a zero column
+        ([[0, 0], [2, 4], [6, 3]], [[0, -2, 1], [0, -15, 8], [1, 0, 0]],
+         [[1, 0], [0, 18], [0, 0]], [[-2, 5], [-1, 2]]),
+        ([[0, 3, 6], [0, 4, 2]], [[1, -2], [8, -15]],
+         [[1, 0, 0], [0, 18, 0]], [[0, 0, 1], [-1, 2, 0], [-2, 5, 0]]),
+    ])
+    def test_transforms_pinned(self, A, U, S, V):
+        # any unimodular U, V pass check_snf; these pin the pivot rule and
+        # the order of the elementary operations
+        res = check_snf(A)
+        assert [list(r) for r in res.U] == U
+        assert [list(r) for r in res.S] == S
+        assert [list(r) for r in res.V] == V
+
     def test_random_property_suite(self):
         rng = random.Random(101)
         for _ in range(300):

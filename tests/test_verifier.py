@@ -340,7 +340,38 @@ class TestCosetUniqueness:
             assert check_coset_uniqueness(sample).ok, f"coset failure in {name}"
 
 
+def order4_pair_scan(group):
+    """Every pair g < h (lex) with 2g != 2h and 2g - 2h of order 2, pair by pair."""
+    elems = group.elements()
+    pairs = []
+    for i, g in enumerate(elems):
+        for h in elems[i + 1 :]:
+            dg, dh = group.double(g), group.double(h)
+            if dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2:
+                pairs.append((g, h))
+    return pairs
+
+
 class TestOrder4Demo:
+    @pytest.mark.parametrize("orders", [
+        (4,), (8,), (16,), (12,), (4, 2), (2, 4), (4, 4), (2, 8), (4, 6), (8, 12),
+        (2, 2, 4), (4, 4, 2), (2, 4, 3),
+    ])
+    def test_matches_pair_scan(self, orders):
+        group = FiniteGroupSpec(orders)
+        pairs = order4_pair_scan(group)
+        demo = order4_obstruction_demo(orders)
+        assert demo.witness_count == len(pairs)
+        assert find_order4_witness(group) == pairs[0]
+        units = [tuple(int(i == j) for j in range(len(orders))) for i in range(len(orders))]
+        featured = [
+            (g, h)
+            for gi, g in enumerate(units)
+            for h in units[gi + 1 :]
+            if (g, h) in pairs or (h, g) in pairs
+        ]
+        assert demo.witness == (featured[0] if featured else pairs[0])
+
     def test_default_demo_features_generator_pair(self):
         demo = order4_obstruction_demo((4, 4))
         assert demo.witness == ((1, 0), (0, 1))
