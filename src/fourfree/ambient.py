@@ -7,9 +7,9 @@ is ``integer``).  The factor order is fixed by the signature, so every element
 has a well-defined support (indices of its nonzero coordinates) and profile
 (the nonzero coordinate values in index order, indices discarded).
 
-All values are immutable and every operation is a pure function, so elements
-may be shared and evaluated concurrently without synchronization.  Structural
-equality is group equality: the zero element is represented uniquely.
+Values are immutable and every operation is a pure function that normalizes
+its raw result through :func:`element`, so elements may be shared across
+threads, and structural equality is group equality: zero has one form.
 
 Canonical text form of an element (injective on valid elements of a fixed
 signature, used by the CLI and by colour reports)::
@@ -128,8 +128,8 @@ class AmbientElement:
     ``d`` holds the nonzero Pruefer coordinates as (index, value) pairs in
     increasing index order, each value a reduced fraction in (0, 1) whose
     denominator is a power of the factor's prime.  ``t`` is the order-2 bit
-    vector, ``q`` the free coordinates.  Use :func:`element` to build one
-    from unnormalized data.
+    vector, ``q`` the free coordinates.  The constructor only validates:
+    every operation builds its result with :func:`element`, which normalizes.
     """
 
     signature: AmbientSignature
@@ -147,7 +147,7 @@ class AmbientElement:
             last = idx
             if not 0 <= idx < len(primes):
                 raise ValueError(f"Pruefer index {idx} out of range")
-            if not isinstance(coord, Fraction) or not 0 < coord < 1:
+            if not isinstance(coord, Fraction) or not 0 < coord.numerator < coord.denominator:
                 raise ValueError(f"Pruefer coordinate {coord} not in (0, 1)")
             if not _is_power_of(coord.denominator, primes[idx]):
                 raise ValueError(
@@ -173,25 +173,16 @@ class AmbientElement:
             raise SignatureMismatch("elements belong to different ambient groups")
         dm = dict(self.d)
         for idx, coord in other.d:
-            total = (dm.get(idx, 0) + coord) % 1
-            if total:
-                dm[idx] = total
-            else:
-                dm.pop(idx, None)
-        return AmbientElement(
+            dm[idx] = dm.get(idx, 0) + coord
+        return element(
             self.signature,
-            tuple(sorted(dm.items())),
-            tuple((a + b) & 1 for a, b in zip(self.t, other.t)),
-            tuple(a + b for a, b in zip(self.q, other.q)),
+            dm,
+            [a + b for a, b in zip(self.t, other.t)],
+            [a + b for a, b in zip(self.q, other.q)],
         )
 
     def __neg__(self) -> "AmbientElement":
-        return AmbientElement(
-            self.signature,
-            tuple((idx, 1 - coord) for idx, coord in self.d),
-            self.t,
-            tuple(-v for v in self.q),
-        )
+        return -1 * self
 
     def __sub__(self, other: "AmbientElement") -> "AmbientElement":
         return self + (-other)
@@ -199,16 +190,11 @@ class AmbientElement:
     def __rmul__(self, n: int) -> "AmbientElement":
         if not isinstance(n, int):
             return NotImplemented
-        dm = {}
-        for idx, coord in self.d:
-            scaled = (n * coord) % 1
-            if scaled:
-                dm[idx] = scaled
-        return AmbientElement(
+        return element(
             self.signature,
-            tuple(sorted(dm.items())),
-            tuple((n * b) & 1 for b in self.t),
-            tuple(n * v for v in self.q),
+            [(idx, n * coord) for idx, coord in self.d],
+            [n * b for b in self.t],
+            [n * v for v in self.q],
         )
 
     __mul__ = __rmul__
@@ -298,7 +284,8 @@ def element(
 
     Pruefer values are reduced mod 1 and zero coordinates are dropped; t bits
     are reduced mod 2; q values are coerced to exact fractions.  Omitted
-    blocks default to zero.
+    blocks default to zero.  The only normalizer: every operation and
+    :func:`~fourfree.colouring.halve` hand it their raw coordinates.
     """
     dm = {}
     if d:

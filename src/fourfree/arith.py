@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -54,3 +56,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def size_text(size: Optional[int], log2_floor: int = 0) -> str:
+    """A size over a cap for a message: in decimal, or ``at least 2^k`` when it
+    was not counted (None, at least 2^log2_floor) or Python refuses to print it."""
+    if size is None:
+        return f"at least 2^{log2_floor}"
+    try:
+        return str(size)
+    except ValueError:  # more digits than the int->str conversion limit
+        return f"at least 2^{size.bit_length() - 1}"

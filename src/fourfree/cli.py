@@ -30,6 +30,7 @@ e.g. ``d:{0=1/9,1=2/5};t:10;q:(0,3/2)``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -41,6 +42,7 @@ from .ambient import (
     AmbientSignature,
     ElementParseError,
 )
+from .arith import size_text
 from .colouring import DROPPED_LAYER_COLOURINGS, colour, colour_encode
 from .embedding import build_embedding
 from .presentation import (
@@ -161,16 +163,17 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 # -- output ----------------------------------------------------------------
 
 
-def _emit(report: dict, output: Optional[str], stdout_json: bool = True) -> None:
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {output}: {exc}")
-    elif stdout_json:
-        print(text)
+def _emit(report: dict, output: Optional[str]) -> None:
+    if not output:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {output}: {exc}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -186,15 +189,14 @@ def _config(args, **overrides) -> dict:
 def _analysis_dict(pres: Presentation) -> dict:
     snf = smith_normal_form(pres.relations, n_cols=pres.n_generators)
     dec = canonical_decomposition(pres)
+    order_four = has_order_four(dec)
     return {
         "n_generators": pres.n_generators,
         "n_relations": len(pres.relations),
         "invariant_factors": list(snf.invariant_factors),
-        "free_rank": dec.free_rank,
-        "primary_factors": [[p, e] for p, e in dec.primary_factors],
-        "torsion_order": dec.torsion_order,
-        "has_order_four": has_order_four(dec),
-        "verdict": "order-4 present" if has_order_four(dec) else "4-free",
+        **dec.describe(),
+        "has_order_four": order_four,
+        "verdict": "order-4 present" if order_four else "4-free",
     }
 
 
@@ -254,7 +256,7 @@ def cmd_colour(args) -> int:
             },
             "items": items,
         }
-        _emit(report, args.output, stdout_json=False)
+        _emit(report, args.output)
     return EXIT_OK
 
 
@@ -274,12 +276,7 @@ def cmd_verify(args) -> int:
     elif args.signature:
         sig = parse_signature_text(args.signature, args.free_mode)
     else:
-        sig = AmbientSignature(
-            DEFAULT_SIGNATURE.prufer_factors,
-            DEFAULT_SIGNATURE.s,
-            DEFAULT_SIGNATURE.r,
-            args.free_mode,
-        )
+        sig = dataclasses.replace(DEFAULT_SIGNATURE, free_mode=args.free_mode)
     config["resolved_signature"] = sig.describe()
 
     try:
@@ -319,13 +316,13 @@ def cmd_verify(args) -> int:
 def cmd_demo(args) -> int:
     group = _parse_group(args.group)
     if group.size > DEFAULT_GROUP_CAP:
-        raise CliError(f"group size {group.size} exceeds cap {DEFAULT_GROUP_CAP}", EXIT_BUDGET)
+        raise CliError(f"group size {size_text(group.size)} exceeds cap {DEFAULT_GROUP_CAP}", EXIT_BUDGET)
     demo = order4_obstruction_demo(group.orders)
     for line in demo.transcript:
         print(line)
     if args.output:
         report = {"config": _config(args, group=list(group.orders)), "demo": demo.describe()}
-        _emit(report, args.output, stdout_json=False)
+        _emit(report, args.output)
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ambient import INTEGER, AmbientElement, Profile
+from .ambient import INTEGER, AmbientElement, Profile, element
 
 __all__ = [
     "Colour",
@@ -76,12 +76,11 @@ def halve(a: AmbientElement) -> AmbientElement:
     """
     if not is_halvable(a):
         raise NotHalvable(f"{a.canonical_text()} has no half")
-    d = []
-    for idx, coord in a.d:
-        den = coord.denominator
-        half = Fraction(coord.numerator * pow(2, -1, den) % den, den)
-        d.append((idx, half))
-    return AmbientElement(a.signature, tuple(d), a.t, tuple(v / 2 for v in a.q))
+    d = [
+        (idx, Fraction(coord.numerator * pow(2, -1, coord.denominator), coord.denominator))
+        for idx, coord in a.d
+    ]
+    return element(a.signature, d, a.t, [v / 2 for v in a.q])
 
 
 def reads_layers(*layers: str):

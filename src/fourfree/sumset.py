@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
+from .arith import size_text
+
 DEFAULT_GROUP_CAP = 4096
 DEFAULT_BUDGET = 1_000_000
 
@@ -89,7 +91,7 @@ def find_mono_pair_sumset(
 ) -> Optional[tuple[Elem, Elem]]:
     """First (lex order) distinct x, y with col(2x) = col(2y) = col(x+y), or None."""
     if group.size > cap:
-        raise GroupTooLarge(f"group size {group.size} exceeds cap {cap}")
+        raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
     elems = group.elements()
     missing = [e for e in elems if e not in table]
     if missing:
@@ -180,7 +182,7 @@ def all_colourings_forced(
     if colours < 1:
         raise ValueError("colour count must be >= 1")
     if group.size > cap:
-        raise GroupTooLarge(f"group size {group.size} exceeds cap {cap}")
+        raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
     start = time.perf_counter()
     elems, cons_by_last = _pair_constraints(group)
     n = len(elems)

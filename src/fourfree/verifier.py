@@ -42,6 +42,7 @@ from .ambient import (
     AmbientSignature,
     SignatureMismatch,
 )
+from .arith import size_text
 from .colouring import Colour, colour, colour_encode, reads_layers
 from .sumset import Elem, FiniteGroupSpec
 
@@ -161,6 +162,46 @@ def _coprime_pairs(b: int, d: int) -> int:
     return count(b, d)
 
 
+# Sizes are counted exactly while that is cheap: windows whose floor (below)
+# is at most _COUNT_BITS, which takes in every size Python prints (4,300 digits
+# are about 14,300 bits), and boxes with min(b, d) at most _COUNT_BOX (counting
+# walks about min(b, d)**0.75 blocks, 0.15 s at 10**6).
+_COUNT_BITS = 20_000
+_COUNT_BOX = 10**6
+
+
+def _check_cap(spec: SampleSpec, cap: int) -> None:
+    """Raise :class:`SampleCapExceeded` if ``spec`` yields more than ``cap``
+    elements or draws from a free-coordinate box of more than ``cap`` values.
+
+    Every base of the window's size is at least 2 (p >= 3, 2 per t bit, at
+    least 3 box values), so it holds at least 2^floor elements, and a box with
+    bounds b, d at least 2 max(b, d) + 1 values.  A size costly to count is
+    left uncounted when its lower bound already exceeds the cap.
+    """
+    sig = spec.signature
+    b = spec.q_numerator_bound
+    d = 1 if sig.free_mode == INTEGER else spec.q_denominator_bound
+    box_floor = (2 * max(b, d) + 1).bit_length() - 1
+    box_cheap = not sig.r or min(b, d) <= _COUNT_BOX
+    floor = len(sig.prufer_factors) * spec.prufer_depth + sig.s + sig.r * box_floor
+    if spec.mode == "exhaustive":
+        cheap = box_cheap and floor <= _COUNT_BITS
+        total = spec.cardinality() if cheap or floor < cap.bit_length() else None
+        if total is None or total > cap:
+            raise SampleCapExceeded(
+                f"exhaustive sample has {size_text(total, floor)} elements, cap is {cap}"
+            )
+    elif spec.count > cap:
+        raise SampleCapExceeded(f"random sample has {size_text(spec.count)} elements, cap is {cap}")
+    if sig.r:
+        box = spec.q_box_size() if box_cheap or box_floor < cap.bit_length() else None
+        if box is None or box > cap:
+            raise SampleCapExceeded(
+                f"free-coordinate box has {size_text(box, box_floor)} values, cap is {cap}"
+            )
+
+
 def enumerate_sample(
     spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP
 ) -> list[AmbientElement]:
@@ -169,18 +210,12 @@ def enumerate_sample(
     Exhaustive mode yields each element of the box exactly once; random mode
     yields ``count`` uniform draws (duplicates possible), reproducible from
     the seed with a fixed draw order (Pruefer coordinates by index, then t
-    bits, then free coordinates).  Either mode raises
-    :class:`SampleCapExceeded` before building anything when it would yield
-    more than ``cap`` elements or draw from a free-coordinate box of more than
-    ``cap`` values; the box is built only when free coordinates are drawn.
+    bits, then free coordinates).  Either mode checks ``cap`` (see
+    :func:`_check_cap`) before building anything, and builds the box only
+    when free coordinates are drawn.
     """
-    total = spec.cardinality() if spec.mode == "exhaustive" else spec.count
-    if total > cap:
-        raise SampleCapExceeded(f"{spec.mode} sample has {total} elements, cap is {cap}")
+    _check_cap(spec, cap)
     sig = spec.signature
-    box_size = spec.q_box_size() if sig.r else 0
-    if box_size > cap:
-        raise SampleCapExceeded(f"free-coordinate box has {box_size} values, cap is {cap}")
     depth_orders = [p**spec.prufer_depth for p in sig.prufer_factors]
     q_box = spec.q_values() if sig.r else ()
 

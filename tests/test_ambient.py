@@ -1,13 +1,16 @@
 """Group-core tests: exact ambient arithmetic, orders, profiles, text form."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourfree
 from fourfree.ambient import (
     INTEGER,
     AmbientElement,
@@ -251,6 +254,35 @@ class TestNormalization:
         with pytest.raises(ValueError):
             element(sig, q=(Fraction(1, 2),))
         assert element(sig, q=(4,)).q == (Fraction(4),)
+
+    def test_operations_normalize_through_element(self):
+        """Only element() and enumerate_sample, whose parts are canonical by
+        construction, call the AmbientElement constructor in the package."""
+
+        class Callers(ast.NodeVisitor):
+            def __init__(self, module):
+                self.scope = [module]
+                self.found = set()
+
+            def visit_scope(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+            def visit_Call(self, node):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "AmbientElement":
+                    self.found.add(".".join(self.scope))
+                self.generic_visit(node)
+
+        found = set()
+        for path in Path(fourfree.__file__).parent.glob("*.py"):
+            callers = Callers(path.stem)
+            callers.visit(ast.parse(path.read_text(encoding="utf-8")))
+            found |= callers.found
+        assert found == {"ambient.element", "verifier.enumerate_sample"}
 
 
 @st.composite

@@ -1,7 +1,11 @@
 """CLI tests: subcommands, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,35 @@ def test_bad_flag_is_input_error(argv, capsys):
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+GROUP_OF_15000_TWOS = ",".join(["2"] * 15_000)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--prufer-depth", "5000"],
+    ["verify", "--signature", "prufer=3;s=300000000;r=0"],
+    ["verify", "--signature", "prufer=;s=0;r=3000000", "--q-bound", "2"],
+    ["verify", "--prufer-depth", "1000000000"],
+    ["verify", "--q-bound", "100000000000000", "--q-den-bound", "100000000000000"],
+    ["demo", "--group", GROUP_OF_15000_TWOS],
+    ["search", "--group", GROUP_OF_15000_TWOS, "--colours", "2"],
+], ids=["depth-5000", "s-3e8", "r-3e6", "depth-1e9", "q-box-1e14", "demo-2^15000", "search-2^15000"])
+def test_oversized_knob_is_budget_exit(argv):
+    # a subprocess with a timeout, so that a size computed before it is
+    # bounded fails the test instead of hanging it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "fourfree", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert time.perf_counter() - start < 2.0
+    assert result.returncode == EXIT_BUDGET
+    if argv[0] == "verify":
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["error"].startswith("exhaustive sample has at least 2^")
+    else:
+        assert result.stderr == "error: group size at least 2^15000 exceeds cap 4096\n"
 
 
 def test_config_echoes_every_flag_but_output(tmp_path, capsys):
