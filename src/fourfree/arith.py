@@ -5,18 +5,43 @@ from __future__ import annotations
 from typing import Optional
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every n
+# below MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+class PrimalityUnknown(ValueError):
+    """n passes every Miller-Rabin base but lies above the proven range."""
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality below :data:`MR_BOUND`; above it a composite is still
+    recognised, and a number that passes every base raises
+    :class:`PrimalityUnknown` rather than being guessed prime."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    k = (d & -d).bit_length() - 1
+    d >>= k
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= MR_BOUND:
+        raise PrimalityUnknown(
+            f"cannot certify primality of {size_text(n)}: it passes the Miller-Rabin "
+            f"test, which is proven only below {MR_BOUND}"
+        )
     return True
 
 

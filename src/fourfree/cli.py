@@ -8,8 +8,9 @@ Exit codes:
     0  success / zero violations
     1  monochromatic violations found
     2  hypothesis violated (the input group has an element of order 4)
-    3  cap or budget exceeded (search verdict "unknown")
-    4  I/O or parse failure
+    3  cap or budget exceeded (search verdict "unknown"), or a Pruefer
+       factor whose primality cannot be certified
+    4  I/O or parse failure, an unwritable report included
 
 Presentation file format (``analyze``, ``embed``, ``verify --input``)::
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -42,7 +44,7 @@ from .ambient import (
     AmbientSignature,
     ElementParseError,
 )
-from .arith import size_text
+from .arith import PrimalityUnknown, size_text
 from .colouring import DROPPED_LAYER_COLOURINGS, colour, colour_encode
 from .embedding import build_embedding
 from .presentation import (
@@ -156,6 +158,8 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
             raise CliError(f"bad signature value in {field!r}")
     try:
         return AmbientSignature(prufer, s, r, free_mode)
+    except PrimalityUnknown as exc:
+        raise CliError(f"invalid signature: {exc}", EXIT_BUDGET)
     except ValueError as exc:
         raise CliError(f"invalid signature: {exc}")
 
@@ -164,16 +168,35 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 
 
 def _emit(report: dict, output: Optional[str]) -> None:
-    if not output:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return
+    """Write ``report`` as JSON to ``output``, or to stdout when it is empty.
+
+    A regular file is written under a temporary name in its directory and
+    renamed into place, so a failed write leaves no partial report.  A report
+    that cannot be serialised (an int past Python's int->str digit limit)
+    is an I/O failure like an unwritable path.
+    """
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise CliError(f"cannot write {output}: {exc}")
+        if not output:
+            json.dump(report, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+            return
+        if os.path.exists(output) and not os.path.isfile(output):
+            tmp = output  # a device or pipe such as /dev/null is written in place
+        else:
+            head, tail = os.path.split(output)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+            if tmp != output:
+                os.replace(tmp, output)
+        except BaseException:
+            if tmp != output and os.path.isfile(tmp):
+                os.unlink(tmp)
+            raise
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot write {output or 'report'}: {exc}")
 
 
 # -- subcommands -------------------------------------------------------------

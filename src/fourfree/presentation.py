@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .arith import factorize, is_odd_prime, xgcd
+from .arith import factorize, is_odd_prime, is_prime, xgcd
 
 __all__ = [
     "SNFResult",
@@ -190,7 +190,7 @@ class CanonicalDecomposition:
             tuple(sorted((int(p), int(e)) for p, e in self.primary_factors)),
         )
         for p, e in self.primary_factors:
-            if e < 1 or factorize(p) != [(p, 1)]:
+            if e < 1 or not is_prime(p):
                 raise ValueError(f"{p}^{e} is not a prime power with positive exponent")
 
     @property

@@ -13,17 +13,22 @@ that already agree on that colour are tested against colour(a+b).  Sweeps
 are deterministic: the report (violations in canonical order, all counts)
 depends only on the set of elements swept.
 
-Inside a finite input every coordinate is an integer code.  A Pruefer
-coordinate becomes its numerator over M, the lcm of all Pruefer denominators
-in the input, and is added and doubled mod M; a free coordinate becomes its
-numerator over L, the lcm of the free denominators; the order-2 block
-becomes a bitmask.  Because each block shares one denominator, the tuple of
-nonzero numerators of a block determines its profile exactly, halvability is
-t == 0 (and, in integer free mode, every free code even), and bucketing, the
-pair scan and the coset census run on ints and tuples only.  A colouring
-states which layers it reads with :func:`~fourfree.colouring.reads_layers`;
-the sweep compares exactly those layers, and calls the colouring itself only
-to write the colour text of a violating bucket.
+A window is held as integer codes from start to verdict.  A Pruefer
+coordinate is its numerator over M, the lcm of the window's Pruefer
+denominators, and is added and doubled mod M; a free coordinate is its
+numerator over L, the lcm of the free denominators; the order-2 block is a
+bitmask.  Because each block shares one denominator, the tuple of nonzero
+numerators of a block determines its profile exactly, halvability is t == 0
+(and, in integer free mode, every free code even), and bucketing, the pair
+scan and the coset census run on ints and tuples only.
+:func:`enumerate_sample` generates the codes straight from the
+:class:`SampleSpec` into a :class:`Sample`; a plain list of elements is coded
+by :meth:`Sample.of`.  An :class:`~fourfree.ambient.AmbientElement` is built
+only where text is written: the elements of a violating pair or of an
+offending coset, and the double whose colour names a violating bucket.  A
+colouring states which layers it reads with
+:func:`~fourfree.colouring.reads_layers`; the sweep compares exactly those
+layers, and calls the colouring itself only for that colour text.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -172,12 +178,15 @@ _COUNT_BOX = 10**6
 
 def _check_cap(spec: SampleSpec, cap: int) -> None:
     """Raise :class:`SampleCapExceeded` if ``spec`` yields more than ``cap``
-    elements or draws from a free-coordinate box of more than ``cap`` values.
+    elements, draws from a window of more than 2^_COUNT_BITS elements, or
+    draws from a free-coordinate box of more than ``cap`` values.
 
     Every base of the window's size is at least 2 (p >= 3, 2 per t bit, at
     least 3 box values), so it holds at least 2^floor elements, and a box with
     bounds b, d at least 2 max(b, d) + 1 values.  A size costly to count is
-    left uncounted when its lower bound already exceeds the cap.
+    left uncounted when its lower bound already exceeds the cap.  Random mode
+    computes p**depth and draws s + r coordinates per element, so its floor
+    is bounded as well.
     """
     sig = spec.signature
     b = spec.q_numerator_bound
@@ -194,6 +203,10 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
             )
     elif spec.count > cap:
         raise SampleCapExceeded(f"random sample has {size_text(spec.count)} elements, cap is {cap}")
+    elif floor > _COUNT_BITS:
+        raise SampleCapExceeded(
+            f"random sample draws from at least 2^{floor} elements, limit is 2^{_COUNT_BITS}"
+        )
     if sig.r:
         box = spec.q_box_size() if box_cheap or box_floor < cap.bit_length() else None
         if box is None or box > cap:
@@ -202,53 +215,149 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
             )
 
 
-def enumerate_sample(
-    spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP
-) -> list[AmbientElement]:
-    """Materialize the sample described by ``spec``.
+_Code = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class Sample(abc.Sequence):
+    """A window of ambient elements, held as integer codes (d, t, q).
+
+    ``codes`` keeps the draw order, duplicates included.  d is the dense tuple
+    of Pruefer numerators over ``M``, t the order-2 bits as a mask with the
+    first bit highest, q the free numerators over ``L`` (1 in integer free
+    mode, so a code's parity is its value's).  Distinct elements of the
+    signature have distinct codes.  As a sequence the sample reads like the
+    list of its elements: :meth:`element` decodes a code on demand, and equal
+    parts of different elements are decoded once and shared.
+    """
+
+    __slots__ = ("signature", "M", "L", "codes", "_d", "_t", "_q")
+
+    def __init__(self, signature: Optional[AmbientSignature], M: int, L: int, codes: tuple[_Code, ...]):
+        parts = (
+            _Memo(lambda d: tuple((i, Fraction(x, M)) for i, x in enumerate(d) if x)),
+            _Memo(lambda t: tuple((t >> k) & 1 for k in reversed(range(signature.s)))),
+            _Memo(lambda q: tuple(Fraction(v, L) for v in q)),
+        )
+        for name, value in zip(self.__slots__, (signature, M, L, codes, *parts)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Sample is immutable")
+
+    @classmethod
+    def of(cls, elements: Sequence[AmbientElement]) -> "Sample":
+        """Code a list of elements of one signature, each from its own coordinates."""
+        if not elements:
+            return cls(None, 1, 1, ())
+        sig = elements[0].signature
+        if any(a.signature != sig for a in elements):
+            raise SignatureMismatch("sample mixes elements of different signatures")
+        M = math.lcm(*{coord.denominator for a in elements for _, coord in a.d})
+        L = math.lcm(*{v.denominator for a in elements for v in a.q})
+        codes = []
+        for a in elements:
+            d = [0] * len(sig.prufer_factors)
+            for i, coord in a.d:
+                d[i] = coord.numerator * (M // coord.denominator)
+            t = 0
+            for bit in a.t:
+                t = t << 1 | bit
+            codes.append((tuple(d), t, tuple([v.numerator * (L // v.denominator) for v in a.q])))
+        return cls(sig, M, L, tuple(codes))
+
+    def element(self, code: _Code) -> AmbientElement:
+        """The element with this code, built from the memoised decoded parts."""
+        d, t, q = code
+        return AmbientElement(self.signature, self._d[d], self._t[t], self._q[q])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self.element(code) for code in self.codes[index]]
+        return self.element(self.codes[index])
+
+    def __iter__(self):
+        return map(self.element, self.codes)
+
+    def __eq__(self, other):
+        if isinstance(other, Sample) and (self.signature, self.M, self.L) == (
+            other.signature, other.M, other.L
+        ):
+            return self.codes == other.codes
+        if isinstance(other, (Sample, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, (Sample, list)):
+            return list(self) + list(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, list):
+            return other + list(self)
+        return NotImplemented
+
+
+def _lcm_upto(n: int, lo: int = 1) -> int:
+    """lcm(lo, ..., n), halving the range so that only equal-sized ints meet."""
+    if n - lo < 64:
+        return math.lcm(*range(lo, n + 1))
+    mid = (lo + n) // 2
+    return math.lcm(_lcm_upto(mid, lo), _lcm_upto(n, mid + 1))
+
+
+def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
+    """The sample described by ``spec``, coded straight from it.
 
     Exhaustive mode yields each element of the box exactly once; random mode
     yields ``count`` uniform draws (duplicates possible), reproducible from
     the seed with a fixed draw order (Pruefer coordinates by index, then t
     bits, then free coordinates).  Either mode checks ``cap`` (see
     :func:`_check_cap`) before building anything, and builds the box only
-    when free coordinates are drawn.
+    when free coordinates are drawn.  M is the lcm of the p**depth and L is
+    lcm(1, ..., denominator bound), so every code of the window is integral.
     """
     _check_cap(spec, cap)
     sig = spec.signature
     depth_orders = [p**spec.prufer_depth for p in sig.prufer_factors]
-    q_box = spec.q_values() if sig.r else ()
+    M = math.lcm(*depth_orders)
+    L = 1 if sig.free_mode == INTEGER else _lcm_upto(spec.q_denominator_bound)
+    box = spec.q_values() if sig.r else ()
+
+    def q_code(v: Fraction) -> int:
+        return v.numerator * (L // v.denominator)
 
     if spec.mode == "exhaustive":
-        d_parts = [
-            tuple(
-                (i, Fraction(num, den))
-                for i, (num, den) in enumerate(zip(d_num, depth_orders))
-                if num
-            )
-            for d_num in product(*(range(n) for n in depth_orders))
-        ]
-        t_parts = list(product((0, 1), repeat=sig.s))
-        q_parts = list(product(q_box, repeat=sig.r))
-        return [
-            AmbientElement(sig, d, t, q)
-            for d in d_parts
-            for t in t_parts
-            for q in q_parts
-        ]
+        d_codes = list(product(*(range(0, M, M // n) for n in depth_orders)))
+        q_codes = list(product([q_code(v) for v in box], repeat=sig.r))
+        codes = [(d, t, q) for d in d_codes for t in range(2**sig.s) for q in q_codes]
+        return Sample(sig, M, L, tuple(codes))
 
     rng = random.Random(spec.seed)
-    out = []
+    steps = [(n, M // n) for n in depth_orders]
+    codes = []
     for _ in range(spec.count):
-        d = []
-        for i, den in enumerate(depth_orders):
-            num = rng.randrange(den)
-            if num:
-                d.append((i, Fraction(num, den)))
-        t = [rng.randrange(2) for _ in range(sig.s)]
-        q = [q_box[rng.randrange(len(q_box))] for _ in range(sig.r)]
-        out.append(AmbientElement(sig, tuple(d), tuple(t), tuple(q)))
-    return out
+        d = tuple([rng.randrange(n) * step for n, step in steps])
+        t = 0
+        for _ in range(sig.s):
+            t = t << 1 | rng.randrange(2)
+        codes.append((d, t, tuple([q_code(box[rng.randrange(len(box))]) for _ in range(sig.r)])))
+    return Sample(sig, M, L, tuple(codes))
 
 
 @reads_layers()
@@ -259,49 +368,6 @@ def constant_colour(a: AmbientElement):
 
 def _key_text(key) -> str:
     return colour_encode(key) if isinstance(key, Colour) else repr(key)
-
-
-_Code = tuple[tuple[int, ...], int, tuple[int, ...]]
-
-
-def _encode(elements: Sequence[AmbientElement]) -> tuple[dict[_Code, AmbientElement], int, bool]:
-    """Integer codes of the distinct elements, the Pruefer modulus M, the free mode.
-
-    Returns ``(codes, M, integer)``: ``codes`` maps each code (d, t, q) to the
-    first input element with that code, in input order.  d is the dense
-    tuple of Pruefer numerators over M, t the order-2 bits as a mask, q the
-    free numerators over the lcm of the free denominators.  Distinct
-    elements of one signature have distinct codes.
-    """
-    if not elements:
-        return {}, 1, False
-    sig = elements[0].signature
-    if any(a.signature != sig for a in elements):
-        raise SignatureMismatch("sample mixes elements of different signatures")
-    # Each distinct part object is coded once: samples from enumerate_sample
-    # share their d, t and q tuples, and the input keeps every part alive, so
-    # no id is reused while these tables exist.
-    d_parts = {id(a.d): a.d for a in elements}
-    t_parts = {id(a.t): a.t for a in elements}
-    q_parts = {id(a.q): a.q for a in elements}
-    M = math.lcm(*{coord.denominator for d in d_parts.values() for _, coord in d})
-    L = math.lcm(*{v.denominator for q in q_parts.values() for v in q})
-    n_prufer = len(sig.prufer_factors)
-    d_codes = {}
-    for key, d in d_parts.items():
-        dense = [0] * n_prufer
-        for idx, coord in d:
-            dense[idx] = coord.numerator * (M // coord.denominator)
-        d_codes[key] = tuple(dense)
-    t_codes = {key: sum(bit << k for k, bit in enumerate(t)) for key, t in t_parts.items()}
-    q_codes = {
-        key: tuple([v.numerator * (L // v.denominator) for v in q])
-        for key, q in q_parts.items()
-    }
-    codes: dict[_Code, AmbientElement] = {}
-    for a in elements:
-        codes.setdefault((d_codes[id(a.d)], t_codes[id(a.t)], q_codes[id(a.q)]), a)
-    return codes, M, sig.free_mode == INTEGER
 
 
 @dataclass(frozen=True)
@@ -351,7 +417,8 @@ def find_mono_triples(
     that ``colour_fn`` declares (see :func:`~fourfree.colouring.reads_layers`;
     an undeclared callable raises ``TypeError``); only pairs within a bucket
     can violate, and for those the layers of a+b are compared against the
-    bucket's.
+    bucket's.  ``elements`` is a :class:`Sample` or a list, which is coded
+    with :meth:`Sample.of`.
     """
     start = time.perf_counter()
     layers = getattr(colour_fn, "layers", None)
@@ -360,53 +427,56 @@ def find_mono_triples(
             f"colouring {colour_fn!r} does not declare the layers it reads; "
             "decorate it with fourfree.colouring.reads_layers"
         )
-    codes, M, integer = _encode(elements)
+    s = elements if isinstance(elements, Sample) else Sample.of(elements)
+    M = s.M
+    integer = s.signature is not None and s.signature.free_mode == INTEGER
     use_d, use_y, use_h = "d" in layers, "y" in layers, "h" in layers
 
-    # Keys hold the d and y layers of 2a, None where unread.  Every double
-    # has t = 0 and even free codes, so it is halvable and h never splits a
-    # bucket; with h read, a pair matches its bucket exactly when a + b is
-    # halvable: equal t and, in integer mode, free codes of equal parity.
-    uniq = list(codes.items())
-    buckets: dict[tuple, list[int]] = {}
-    for i, ((d, _, q), _) in enumerate(uniq):
-        key = (
-            tuple([v for x in d if (v := 2 * x % M)]) if use_d else None,
-            tuple([2 * x for x in q if x]) if use_y else None,
-        )
-        buckets.setdefault(key, []).append(i)
+    # Keys hold the d and y layers of 2a, None where unread; they depend on
+    # the d and q parts alone, so each distinct part is keyed once.  Every
+    # double has t = 0 and even free codes, so it is halvable and h never
+    # splits a bucket.  With h read, a + b matches its bucket only if it is
+    # halvable: equal t and, in integer mode, free codes of equal parity, so
+    # a bucket's pairs are scanned only inside such classes.
+    d_keys = _Memo(lambda d: tuple([v for x in d if (v := 2 * x % M)]) if use_d else None)
+    y_keys = _Memo(lambda q: tuple([2 * x for x in q if x]) if use_y else None)
+    uniq = dict.fromkeys(s.codes)
+    buckets: dict[tuple, list[_Code]] = {}
+    for code in uniq:
+        buckets.setdefault((d_keys[code[0]], y_keys[code[2]]), []).append(code)
 
     candidate_pairs = 0
     violations = []
-    texts: dict[int, str] = {}
-
-    def text(i: int) -> str:
-        if i not in texts:
-            texts[i] = uniq[i][1].canonical_text()
-        return texts[i]
-
+    texts = _Memo(lambda code: s.element(code).canonical_text())
     for (d_key, y_key), members in buckets.items():
         candidate_pairs += len(members) * (len(members) - 1) // 2
+        classes = [members]
+        if use_h and len(members) > 1:
+            by_h: dict[object, list[_Code]] = {}
+            for a in members:
+                by_h.setdefault((a[1], tuple([x & 1 for x in a[2]])) if integer else a[1], []).append(a)
+            classes = by_h.values()
         hits = []
-        for pos, i in enumerate(members):
-            da, ta, qa = uniq[i][0]
-            for j in members[pos + 1 :]:
-                db, tb, qb = uniq[j][0]
-                if use_h and (ta != tb or integer and any((x + y) & 1 for x, y in zip(qa, qb))):
-                    continue
-                if use_y and tuple([v for x, y in zip(qa, qb) if (v := x + y)]) != y_key:
-                    continue
-                if use_d and tuple([v for x, y in zip(da, db) if (v := (x + y) % M)]) != d_key:
-                    continue
-                hits.append((i, j))
+        for group in classes:
+            for pos, a in enumerate(group):
+                da, _, qa = a
+                for b in group[pos + 1 :]:
+                    db, _, qb = b
+                    if use_y and tuple([v for x, y in zip(qa, qb) if (v := x + y)]) != y_key:
+                        continue
+                    if use_d and tuple([v for x, y in zip(da, db) if (v := (x + y) % M)]) != d_key:
+                        continue
+                    hits.append((a, b))
         if hits:
-            key_text = _key_text(colour_fn(uniq[members[0]][1].double()))
-            violations.extend((*sorted((text(i), text(j))), key_text) for i, j in hits)
+            d, _, q = members[0]
+            double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
+            key_text = _key_text(colour_fn(s.element(double)))
+            violations.extend((*sorted((texts[a], texts[b])), key_text) for a, b in hits)
 
     n = len(uniq)
     return TripleReport(
         sample=sample,
-        size=len(elements),
+        size=len(s),
         distinct=n,
         pairs=n * (n - 1) // 2,
         n_buckets=len(buckets),
@@ -444,20 +514,24 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
 
     Elements are grouped by (Pruefer part, free part), which identifies the
     coset; within each group the halvable elements are counted.
+    ``elements`` is a :class:`Sample` or a list, coded with :meth:`Sample.of`.
     """
-    codes, _, integer = _encode(elements)
-    cosets: dict[tuple, list[AmbientElement]] = {}
-    for (d, t, q), a in codes.items():
+    s = elements if isinstance(elements, Sample) else Sample.of(elements)
+    integer = s.signature is not None and s.signature.free_mode == INTEGER
+    uniq = dict.fromkeys(s.codes)
+    cosets: dict[tuple, list[_Code]] = {}
+    for code in uniq:
+        d, t, q = code
         halvables = cosets.setdefault((d, q), [])
         if not t and not (integer and any(v & 1 for v in q)):
-            halvables.append(a)
+            halvables.append(code)
     offenders = [
-        tuple(sorted(a.canonical_text() for a in halvables))
+        tuple(sorted(s.element(code).canonical_text() for code in halvables))
         for halvables in cosets.values()
         if len(halvables) > 1
     ]
     return CosetReport(
-        n_elements=len(codes),
+        n_elements=len(uniq),
         n_cosets=len(cosets),
         n_halvable=sum(len(halvables) for halvables in cosets.values()),
         offenders=tuple(sorted(offenders)),

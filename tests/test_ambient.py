@@ -256,8 +256,8 @@ class TestNormalization:
         assert element(sig, q=(4,)).q == (Fraction(4),)
 
     def test_operations_normalize_through_element(self):
-        """Only element() and enumerate_sample, whose parts are canonical by
-        construction, call the AmbientElement constructor in the package."""
+        """Only element() and Sample.element, whose decoded parts are canonical
+        by construction, call the AmbientElement constructor in the package."""
 
         class Callers(ast.NodeVisitor):
             def __init__(self, module):
@@ -282,7 +282,7 @@ class TestNormalization:
             callers = Callers(path.stem)
             callers.visit(ast.parse(path.read_text(encoding="utf-8")))
             found |= callers.found
-        assert found == {"ambient.element", "verifier.enumerate_sample"}
+        assert found == {"ambient.element", "verifier.Sample.element"}
 
 
 @st.composite

@@ -1,0 +1,38 @@
+"""Arithmetic tests: deterministic primality and its proven range."""
+
+import pytest
+
+from fourfree.arith import MR_BOUND, PrimalityUnknown, factorize, is_odd_prime, is_prime
+
+
+def test_agrees_with_trial_division_below_1e5():
+    sieve = bytearray([1]) * 10**5
+    sieve[0] = sieve[1] = 0
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, 10**5, p)))
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_rejected(n):
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 23
+    assert factorize(n)[0][0] < n and not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1, MR_BOUND - 168])
+def test_large_primes_certified(n):
+    # MR_BOUND - 168 is the largest prime below the proven range
+    assert is_prime(n) and is_odd_prime(n)
+
+
+def test_composite_above_proven_range_recognised():
+    assert not is_prime(2**89 + 1) and not is_prime(3 * (2**89 - 1))
+
+
+@pytest.mark.parametrize("n", [2**89 - 1, MR_BOUND])
+def test_passing_every_base_above_proven_range_is_not_certified(n):
+    # 2^89 - 1 is prime; MR_BOUND = 1287836182261 * 2575672364521 is the least
+    # composite that passes all 13 bases: neither may be called prime
+    with pytest.raises(PrimalityUnknown, match="cannot certify primality"):
+        is_prime(n)

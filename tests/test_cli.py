@@ -253,9 +253,12 @@ GROUP_OF_15000_TWOS = ",".join(["2"] * 15_000)
     ["verify", "--signature", "prufer=;s=0;r=3000000", "--q-bound", "2"],
     ["verify", "--prufer-depth", "1000000000"],
     ["verify", "--q-bound", "100000000000000", "--q-den-bound", "100000000000000"],
+    ["verify", "--mode", "random", "--count", "1", "--prufer-depth", "1000000000"],
+    ["verify", "--mode", "random", "--count", "2", "--signature", "prufer=;s=300000000;r=0"],
     ["demo", "--group", GROUP_OF_15000_TWOS],
     ["search", "--group", GROUP_OF_15000_TWOS, "--colours", "2"],
-], ids=["depth-5000", "s-3e8", "r-3e6", "depth-1e9", "q-box-1e14", "demo-2^15000", "search-2^15000"])
+], ids=["depth-5000", "s-3e8", "r-3e6", "depth-1e9", "q-box-1e14", "random-depth-1e9", "random-s-3e8",
+        "demo-2^15000", "search-2^15000"])
 def test_oversized_knob_is_budget_exit(argv):
     # a subprocess with a timeout, so that a size computed before it is
     # bounded fails the test instead of hanging it
@@ -268,9 +271,52 @@ def test_oversized_knob_is_budget_exit(argv):
     assert result.returncode == EXIT_BUDGET
     if argv[0] == "verify":
         assert result.stderr == ""
-        assert json.loads(result.stdout)["error"].startswith("exhaustive sample has at least 2^")
+        mode = "random sample draws from" if "random" in argv else "exhaustive sample has"
+        assert json.loads(result.stdout)["error"].startswith(f"{mode} at least 2^")
     else:
         assert result.stderr == "error: group size at least 2^15000 exceeds cap 4096\n"
+
+
+def test_unwritable_report_is_io_exit_without_partial_file(tmp_path):
+    # the invariant factor 2^9000 * 3^5000 has more digits than Python
+    # converts to text, so the report cannot be serialised
+    pres = write(tmp_path / "big.txt", f"generators: 2\nrelations:\n{2**9000} 0\n0 {3**5000}\n")
+    out = tmp_path / "reports" / "r.json"
+    out.parent.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "fourfree", "analyze", "--input", pres, "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == EXIT_IO
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+    assert list(out.parent.iterdir()) == []
+
+
+def test_report_replaces_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("stale", encoding="utf-8")
+    assert main(["verify", "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["triple_report"]["distinct"] == 180
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+class TestPrimeCertification:
+    def test_mersenne_61_answers_promptly(self, capsys):
+        start = time.perf_counter()
+        assert main(["verify", "--signature", "prufer=2305843009213693951;s=0;r=0"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["error"].startswith("exhaustive sample has")
+
+    def test_prime_above_proven_range_is_budget_exit(self, capsys):
+        assert main(["verify", "--signature", f"prufer={2**89 - 1};s=0;r=0"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid signature: cannot certify primality of ")
+
+    def test_composite_above_proven_range_is_input_error(self, capsys):
+        assert main(["verify", "--signature", f"prufer={2**89 + 1};s=0;r=0"]) == EXIT_IO
+        assert "is not an odd prime" in capsys.readouterr().err
 
 
 def test_config_echoes_every_flag_but_output(tmp_path, capsys):

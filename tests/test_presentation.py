@@ -316,3 +316,14 @@ class TestElementOrderIn:
         dec = CanonicalDecomposition(1, ((2, 1),))
         with pytest.raises(ValueError):
             element_order_in(dec, (1,))
+
+
+@pytest.mark.parametrize("p", [1, 6, 9, 3215031751])
+def test_decomposition_rejects_non_primes(p):
+    with pytest.raises(ValueError, match="not a prime power"):
+        CanonicalDecomposition(0, ((p, 1),))
+
+
+def test_decomposition_certifies_a_large_prime_promptly():
+    dec = CanonicalDecomposition(0, ((2**61 - 1, 1),))
+    assert dec.torsion_order == 2**61 - 1

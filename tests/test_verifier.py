@@ -1,5 +1,6 @@
 """Verifier tests: sampling, the pair sweep, coset checks, the order-4 demo."""
 
+import hashlib
 import json
 import random
 import time
@@ -400,3 +401,83 @@ class TestOrder4Demo:
         assert d["witness"] == [[1, 0], [0, 1]]
         assert d["group"]["orders"] == [4, 4]
         assert isinstance(d["transcript"], list)
+
+
+class TestCodedSample:
+    """A Sample is coded straight from its spec; a list is coded by Sample.of.
+    Both must give the same reports, and the Sample must read like the list."""
+
+    @pytest.mark.parametrize("name", sorted(set(SHIPPED_SAMPLES) - {"main-sweep"}))
+    def test_sample_and_list_give_equal_reports(self, name):
+        sample = enumerate_sample(SHIPPED_SAMPLES[name])
+        elements = list(sample)
+        for fn_name, fn in ORACLE_COLOURINGS.items():
+            if (name, fn_name) == ("depth-two", "constant"):
+                continue  # all ~2*10^7 pairs would be violation records
+            coded = find_mono_triples(sample, fn).describe(include_timing=False)
+            listed = find_mono_triples(elements, fn).describe(include_timing=False)
+            assert coded == listed, (name, fn_name)
+        assert check_coset_uniqueness(sample).describe() == check_coset_uniqueness(elements).describe()
+
+    def test_integer_mode_codes_keep_parity(self):
+        # the denominator bound is ignored in integer mode; were it folded
+        # into L, every free code would be even and odd values would pass
+        # the halvability test
+        spec = SampleSpec(
+            AmbientSignature((3,), 1, 1, free_mode=INTEGER), q_numerator_bound=3, q_denominator_bound=4
+        )
+        sample = enumerate_sample(spec)
+        elements = list(sample)
+        for fn_name, fn in ORACLE_COLOURINGS.items():
+            coded = find_mono_triples(sample, fn).describe(include_timing=False)
+            assert coded == find_mono_triples(elements, fn).describe(include_timing=False), fn_name
+        report = check_coset_uniqueness(sample)
+        assert report.describe() == check_coset_uniqueness(elements).describe()
+        assert report.n_halvable == 3 * 3  # t = 0 and the free value in {-2, 0, 2}
+
+    # SHA-256 of the newline-joined canonical texts of seeds 0-9 (100 draws
+    # each), recorded before random mode drew codes: every seed keeps its draws.
+    RANDOM_WINDOWS = {
+        "main": (
+            dict(signature=AmbientSignature((3, 5), 2, 2), prufer_depth=2,
+                 q_numerator_bound=2, q_denominator_bound=2),
+            "9fb6ee05bd4ff0398d96fbec40a16d3598eb9ea3dfacedf4300284667fbd8271",
+        ),
+        "integer": (
+            dict(signature=AmbientSignature((3,), 1, 2, free_mode=INTEGER), prufer_depth=2,
+                 q_numerator_bound=3),
+            "65c1dfc84c735c9cf60c3a941d99910dd64c331d734874060d920662e50954c6",
+        ),
+        "repeated-prime": (
+            dict(signature=AmbientSignature((3, 3), 1, 1), prufer_depth=2,
+                 q_numerator_bound=3, q_denominator_bound=3),
+            "e4c7aa7895c84287294a334d7cd7820bb45a6b74cd8c894134c9b49fc57b082d",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RANDOM_WINDOWS))
+    def test_random_draws_pinned(self, name):
+        window, digest = self.RANDOM_WINDOWS[name]
+        texts = [
+            a.canonical_text()
+            for seed in range(10)
+            for a in enumerate_sample(SampleSpec(**window, mode="random", count=100, seed=seed))
+        ]
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+    def test_sequence_protocol(self):
+        sample = enumerate_sample(SHIPPED_SAMPLES["odd-square"])
+        elements = list(sample)
+        assert len(sample) == len(elements) == 18
+        assert sample[0] == elements[0] and sample[-1] == elements[-1]
+        assert sample[3:11] == elements[3:11] and sample[::-1] == elements[::-1]
+        assert sample + sample == elements + elements
+        assert elements + sample == sample + elements == elements * 2
+        assert sample == elements and elements == sample
+        assert sample != elements[:-1] and sample != elements[::-1]
+        assert elements[5] in sample and set(sample) == set(elements)
+
+    def test_decoded_elements_share_parts(self):
+        sample = enumerate_sample(SHIPPED_SAMPLES["depth-two"])
+        assert len({id(a.d) for a in sample}) == 9 * 25
+        assert len({id(a.q) for a in sample}) == 7
