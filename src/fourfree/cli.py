@@ -34,6 +34,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 from typing import Optional, Sequence
 
@@ -170,8 +171,9 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 def _emit(report: dict, output: Optional[str]) -> None:
     """Write ``report`` as JSON to ``output``, or to stdout when it is empty.
 
-    A regular file is written under a temporary name in its directory and
-    renamed into place, so a failed write leaves no partial report.  A report
+    A regular file (a symlink's target) is written under a temporary name in
+    its directory and renamed into place with the old file's mode, so a failed
+    write leaves no partial report; the directory must be writable.  A report
     that cannot be serialised (an int past Python's int->str digit limit)
     is an I/O failure like an unwritable path.
     """
@@ -180,19 +182,22 @@ def _emit(report: dict, output: Optional[str]) -> None:
             json.dump(report, sys.stdout, indent=2)
             sys.stdout.write("\n")
             return
-        if os.path.exists(output) and not os.path.isfile(output):
-            tmp = output  # a device or pipe such as /dev/null is written in place
+        target = os.path.realpath(output)  # a symlink is written through
+        if os.path.exists(target) and not os.path.isfile(target):
+            tmp = target  # a device or pipe such as /dev/null is written in place
         else:
-            head, tail = os.path.split(output)
+            head, tail = os.path.split(target)
             tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2)
                 fh.write("\n")
-            if tmp != output:
-                os.replace(tmp, output)
+            if tmp != target:
+                if os.path.isfile(target):
+                    shutil.copymode(target, tmp)
+                os.replace(tmp, target)
         except BaseException:
-            if tmp != output and os.path.isfile(tmp):
+            if tmp != target and os.path.isfile(tmp):
                 os.unlink(tmp)
             raise
     except (OSError, ValueError) as exc:

@@ -38,6 +38,7 @@ import random
 import time
 from collections import abc
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -218,18 +219,6 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
 _Code = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)``."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 class Sample(abc.Sequence):
     """A window of ambient elements, held as integer codes (d, t, q).
 
@@ -245,13 +234,14 @@ class Sample(abc.Sequence):
     __slots__ = ("signature", "M", "L", "codes", "_d", "_t", "_q")
 
     def __init__(self, signature: Optional[AmbientSignature], M: int, L: int, codes: tuple[_Code, ...]):
-        parts = (
-            _Memo(lambda d: tuple((i, Fraction(x, M)) for i, x in enumerate(d) if x)),
-            _Memo(lambda t: tuple((t >> k) & 1 for k in reversed(range(signature.s)))),
-            _Memo(lambda q: tuple(Fraction(v, L) for v in q)),
-        )
-        for name, value in zip(self.__slots__, (signature, M, L, codes, *parts)):
-            object.__setattr__(self, name, value)
+        set_ = object.__setattr__
+        set_(self, "signature", signature)
+        set_(self, "M", M)
+        set_(self, "L", L)
+        set_(self, "codes", codes)
+        set_(self, "_d", cache(lambda d: tuple((i, Fraction(x, M)) for i, x in enumerate(d) if x)))
+        set_(self, "_t", cache(lambda t: tuple((t >> k) & 1 for k in reversed(range(signature.s)))))
+        set_(self, "_q", cache(lambda q: tuple(Fraction(v, L) for v in q)))
 
     def __setattr__(self, name, value):
         raise AttributeError("a Sample is immutable")
@@ -280,7 +270,7 @@ class Sample(abc.Sequence):
     def element(self, code: _Code) -> AmbientElement:
         """The element with this code, built from the memoised decoded parts."""
         d, t, q = code
-        return AmbientElement(self.signature, self._d[d], self._t[t], self._q[q])
+        return AmbientElement(self.signature, self._d(d), self._t(t), self._q(q))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -313,14 +303,6 @@ class Sample(abc.Sequence):
         return NotImplemented
 
 
-def _lcm_upto(n: int, lo: int = 1) -> int:
-    """lcm(lo, ..., n), halving the range so that only equal-sized ints meet."""
-    if n - lo < 64:
-        return math.lcm(*range(lo, n + 1))
-    mid = (lo + n) // 2
-    return math.lcm(_lcm_upto(mid, lo), _lcm_upto(n, mid + 1))
-
-
 def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
     """The sample described by ``spec``, coded straight from it.
 
@@ -329,15 +311,15 @@ def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
     the seed with a fixed draw order (Pruefer coordinates by index, then t
     bits, then free coordinates).  Either mode checks ``cap`` (see
     :func:`_check_cap`) before building anything, and builds the box only
-    when free coordinates are drawn.  M is the lcm of the p**depth and L is
-    lcm(1, ..., denominator bound), so every code of the window is integral.
+    when free coordinates are drawn.  M is the lcm of the p**depth and L the
+    lcm of the box's denominators, so every code of the window is integral.
     """
     _check_cap(spec, cap)
     sig = spec.signature
     depth_orders = [p**spec.prufer_depth for p in sig.prufer_factors]
     M = math.lcm(*depth_orders)
-    L = 1 if sig.free_mode == INTEGER else _lcm_upto(spec.q_denominator_bound)
     box = spec.q_values() if sig.r else ()
+    L = math.lcm(*{v.denominator for v in box})
 
     def q_code(v: Fraction) -> int:
         return v.numerator * (L // v.denominator)
@@ -438,16 +420,16 @@ def find_mono_triples(
     # splits a bucket.  With h read, a + b matches its bucket only if it is
     # halvable: equal t and, in integer mode, free codes of equal parity, so
     # a bucket's pairs are scanned only inside such classes.
-    d_keys = _Memo(lambda d: tuple([v for x in d if (v := 2 * x % M)]) if use_d else None)
-    y_keys = _Memo(lambda q: tuple([2 * x for x in q if x]) if use_y else None)
+    d_keys = cache(lambda d: tuple([v for x in d if (v := 2 * x % M)]) if use_d else None)
+    y_keys = cache(lambda q: tuple([2 * x for x in q if x]) if use_y else None)
     uniq = dict.fromkeys(s.codes)
     buckets: dict[tuple, list[_Code]] = {}
     for code in uniq:
-        buckets.setdefault((d_keys[code[0]], y_keys[code[2]]), []).append(code)
+        buckets.setdefault((d_keys(code[0]), y_keys(code[2])), []).append(code)
 
     candidate_pairs = 0
     violations = []
-    texts = _Memo(lambda code: s.element(code).canonical_text())
+    texts = cache(lambda code: s.element(code).canonical_text())
     for (d_key, y_key), members in buckets.items():
         candidate_pairs += len(members) * (len(members) - 1) // 2
         classes = [members]
@@ -471,7 +453,7 @@ def find_mono_triples(
             d, _, q = members[0]
             double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
             key_text = _key_text(colour_fn(s.element(double)))
-            violations.extend((*sorted((texts[a], texts[b])), key_text) for a, b in hits)
+            violations.extend((*sorted((texts(a), texts(b))), key_text) for a, b in hits)
 
     n = len(uniq)
     return TripleReport(

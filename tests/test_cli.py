@@ -205,6 +205,18 @@ class TestVerify:
         assert time.perf_counter() - start < 2.0
         assert json.loads(capsys.readouterr().out)["triple_report"]["distinct"] == 6
 
+    def test_no_free_coordinates_skips_denominator_bound(self):
+        # in a subprocess with a timeout: lcm(1..10^9) would not finish
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = ["verify", "--signature", "prufer=3;s=1;r=0", "--q-den-bound", "1000000000"]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "fourfree", *argv], env=env, capture_output=True, text=True, timeout=20
+        )
+        assert time.perf_counter() - start < 2.0
+        assert result.returncode == EXIT_OK
+        assert json.loads(result.stdout)["triple_report"]["distinct"] == 6
+
     def test_random_mode_q_box_over_cap_exits_before_building_it(self, capsys):
         start = time.perf_counter()
         argv = ["verify", "--mode", "random", "--count", "5",
@@ -300,6 +312,20 @@ def test_report_replaces_an_existing_file(tmp_path, capsys):
     assert main(["verify", "--output", str(out)]) == EXIT_OK
     assert json.loads(out.read_text(encoding="utf-8"))["triple_report"]["distinct"] == 180
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="symlinks and mode bits")
+def test_report_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("stale", encoding="utf-8")
+    out.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    assert main(["verify", "--output", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads(out.read_text(encoding="utf-8"))["triple_report"]["distinct"] == 180
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "r.json"]
 
 
 class TestPrimeCertification:
