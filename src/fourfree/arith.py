@@ -50,19 +50,22 @@ def is_odd_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
+
+    Trial division runs only while :func:`is_prime` calls the cofactor
+    composite, so this raises :class:`PrimalityUnknown` where that does."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
     d = 2
-    while d * d <= n:
+    while n > 1 and not is_prime(n):
+        while n % d:
+            d += 1 if d == 2 else 2
         e = 0
         while n % d == 0:
             e += 1
             n //= d
-        if e:
-            out.append((d, e))
-        d += 1 if d == 2 else 2
+        out.append((d, e))
     if n > 1:
         out.append((n, 1))
     return out

@@ -2,14 +2,18 @@
 
 Every run echoes its full effective configuration into a JSON report, so
 re-running with the same flags reproduces the report byte for byte apart
-from the ``elapsed_s`` timing fields.
+from the ``elapsed_s`` timing fields.  Each ``cmd_*`` prints its
+human-readable lines and returns ``(report, exit_code)``, the report None
+when there is none to write; :func:`main` alone writes the report, whole or
+not at all, and turns errors into exit codes.
 
 Exit codes:
     0  success / zero violations
     1  monochromatic violations found
     2  hypothesis violated (the input group has an element of order 4)
     3  cap or budget exceeded (search verdict "unknown"), or a Pruefer
-       factor whose primality cannot be certified
+       factor or presentation with a prime factor whose primality cannot
+       be certified
     4  I/O or parse failure, an unwritable report included
 
 Presentation file format (``analyze``, ``embed``, ``verify --input``)::
@@ -169,35 +173,37 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 
 
 def _emit(report: dict, output: Optional[str]) -> None:
-    """Write ``report`` as JSON to ``output``, or to stdout when it is empty.
+    """Write ``report`` as JSON to ``output``, or to stdout when it is empty,
+    whole or not at all.
 
-    A regular file (a symlink's target) is written under a temporary name in
-    its directory and renamed into place with the old file's mode, so a failed
-    write leaves no partial report; the directory must be writable.  A report
-    that cannot be serialised (an int past Python's int->str digit limit)
-    is an I/O failure like an unwritable path.
+    A regular file (a symlink's target) is streamed under a temporary name in
+    its directory and renamed into place with the old file's mode; the
+    directory must be writable.  Stdout, or a device or pipe such as
+    /dev/null, gets the document only once it has serialised completely.  A
+    report that cannot be serialised (an int past Python's int->str digit
+    limit) is an I/O failure like an unwritable path.
     """
     try:
-        if not output:
-            json.dump(report, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+        target = os.path.realpath(output) if output else None  # a symlink is written through
+        if target is None or (os.path.exists(target) and not os.path.isfile(target)):
+            text = json.dumps(report, indent=2) + "\n"
+            if target is None:
+                sys.stdout.write(text)
+            else:
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(text)
             return
-        target = os.path.realpath(output)  # a symlink is written through
-        if os.path.exists(target) and not os.path.isfile(target):
-            tmp = target  # a device or pipe such as /dev/null is written in place
-        else:
-            head, tail = os.path.split(target)
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2)
                 fh.write("\n")
-            if tmp != target:
-                if os.path.isfile(target):
-                    shutil.copymode(target, tmp)
-                os.replace(tmp, target)
+            if os.path.isfile(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
         except BaseException:
-            if tmp != target and os.path.isfile(tmp):
+            if os.path.isfile(tmp):
                 os.unlink(tmp)
             raise
     except (OSError, ValueError) as exc:
@@ -228,17 +234,13 @@ def _analysis_dict(pres: Presentation) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
-    pres = load_presentation(args.input)
-    report = {
-        "config": _config(args),
-        "analysis": _analysis_dict(pres),
-    }
-    _emit(report, args.output)
-    return EXIT_ORDER_FOUR if report["analysis"]["has_order_four"] else EXIT_OK
+def cmd_analyze(args) -> tuple[dict, int]:
+    analysis = _analysis_dict(load_presentation(args.input))
+    report = {"config": _config(args), "analysis": analysis}
+    return report, EXIT_ORDER_FOUR if analysis["has_order_four"] else EXIT_OK
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[dict, int]:
     pres = load_presentation(args.input)
     analysis = _analysis_dict(pres)
     report = {
@@ -247,15 +249,13 @@ def cmd_embed(args) -> int:
     }
     if analysis["has_order_four"]:
         report["error"] = "group contains an element of order 4; cannot embed"
-        _emit(report, args.output)
-        return EXIT_ORDER_FOUR
+        return report, EXIT_ORDER_FOUR
     emap = build_embedding(canonical_decomposition(pres), args.free_mode)
     report["embedding"] = emap.describe()
-    _emit(report, args.output)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_colour(args) -> int:
+def cmd_colour(args) -> tuple[Optional[dict], int]:
     sig = parse_signature_text(args.signature, args.free_mode)
     texts = list(args.elements)
     if args.input:
@@ -275,20 +275,13 @@ def cmd_colour(args) -> int:
         items.append({"element": elem.canonical_text(), "colour": colour_encode(colour(elem))})
     for item in items:
         print(f"{item['element']}\t{item['colour']}")
-    if args.output:
-        report = {
-            "config": {
-                "subcommand": "colour",
-                "signature": sig.describe(),
-                "free_mode": args.free_mode,
-            },
-            "items": items,
-        }
-        _emit(report, args.output)
-    return EXIT_OK
+    if not args.output:
+        return None, EXIT_OK
+    config = {"subcommand": "colour", "signature": sig.describe(), "free_mode": args.free_mode}
+    return {"config": config, "items": items}, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     config = _config(args)
     report: dict = {"config": config}
 
@@ -298,8 +291,7 @@ def cmd_verify(args) -> int:
         report["analysis"] = analysis
         if analysis["has_order_four"]:
             report["error"] = "hypothesis violated: group contains an element of order 4"
-            _emit(report, args.output)
-            return EXIT_ORDER_FOUR
+            return report, EXIT_ORDER_FOUR
         sig = build_embedding(canonical_decomposition(pres), args.free_mode).signature
     elif args.signature:
         sig = parse_signature_text(args.signature, args.free_mode)
@@ -323,35 +315,32 @@ def cmd_verify(args) -> int:
         elements = enumerate_sample(spec, cap=args.cap)
     except SampleCapExceeded as exc:
         report["error"] = str(exc)
-        _emit(report, args.output)
-        return EXIT_BUDGET
+        return report, EXIT_BUDGET
 
     colour_fn = DROPPED_LAYER_COLOURINGS[args.drop_layer] if args.drop_layer else colour
     triple = find_mono_triples(elements, colour_fn, sample=spec.describe())
     coset = check_coset_uniqueness(elements)
     report["triple_report"] = triple.describe()
     report["coset_report"] = coset.describe()
-    _emit(report, args.output)
     print(
         f"evaluated {triple.candidate_pairs} candidate pairs (pairs sharing the colour "
         f"of their doubles) of {triple.pairs} nominal pairs over {triple.distinct} "
         f"elements: {len(triple.violations)} violations",
         file=sys.stderr,
     )
-    return EXIT_OK if triple.ok else EXIT_VIOLATIONS
+    return report, EXIT_OK if triple.ok else EXIT_VIOLATIONS
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> tuple[Optional[dict], int]:
     group = _parse_group(args.group)
     if group.size > DEFAULT_GROUP_CAP:
         raise CliError(f"group size {size_text(group.size)} exceeds cap {DEFAULT_GROUP_CAP}", EXIT_BUDGET)
     demo = order4_obstruction_demo(group.orders)
     for line in demo.transcript:
         print(line)
-    if args.output:
-        report = {"config": _config(args, group=list(group.orders)), "demo": demo.describe()}
-        _emit(report, args.output)
-    return EXIT_OK
+    if not args.output:
+        return None, EXIT_OK
+    return {"config": _config(args, group=list(group.orders)), "demo": demo.describe()}, EXIT_OK
 
 
 def _parse_group(text: str) -> FiniteGroupSpec:
@@ -367,7 +356,7 @@ def _parse_group(text: str) -> FiniteGroupSpec:
         raise CliError(f"bad group orders {text!r}: {exc}")
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[dict, int]:
     group = _parse_group(args.group)
     if not args.min_colours and args.colours is None:
         raise CliError("search needs --colours N or --min-colours")
@@ -376,20 +365,19 @@ def cmd_search(args) -> int:
             res = min_colours_avoiding(group, budget=args.budget, cap=args.cap)
         else:
             res = all_colourings_forced(group, args.colours, budget=args.budget, cap=args.cap)
-    except GroupTooLarge as exc:
-        raise CliError(str(exc), EXIT_BUDGET)
+    except GroupTooLarge:
+        raise  # a cap, not a bad flag: main maps it to exit 3
     except ValueError as exc:
         raise CliError(str(exc))
     report = {"config": _config(args, group=list(group.orders)), "result": res.describe()}
-    _emit(report, args.output)
     if res.verdict == "unknown":
         print("verdict: unknown (budget exceeded)", file=sys.stderr)
-        return EXIT_BUDGET
+        return report, EXIT_BUDGET
     if args.min_colours:
         print(f"min colours avoiding: {res.count}", file=sys.stderr)
     else:
         print(f"verdict: {res.verdict}", file=sys.stderr)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------
@@ -464,10 +452,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on a usage error, which would read as "order 4"
         return EXIT_IO if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if report is not None:
+            _emit(report, args.output)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (GroupTooLarge, PrimalityUnknown) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    return code
 
 
 def main_entry() -> None:

@@ -104,24 +104,25 @@ class SampleSpec:
         if self.mode == "random" and self.count < 1:
             raise ValueError("random mode needs a positive count")
 
+    @property
+    def q_den_bound(self) -> int:
+        """The denominator bound in effect: the integer box is the rational
+        box with denominator bound 1."""
+        return 1 if self.signature.free_mode == INTEGER else self.q_denominator_bound
+
     def q_values(self) -> tuple[Fraction, ...]:
         """Sorted free-coordinate box."""
         bound = self.q_numerator_bound
-        if self.signature.free_mode == INTEGER:
-            return tuple(Fraction(n) for n in range(-bound, bound + 1))
         values = {
             Fraction(n, m)
             for n in range(-bound, bound + 1)
-            for m in range(1, self.q_denominator_bound + 1)
+            for m in range(1, self.q_den_bound + 1)
         }
         return tuple(sorted(values))
 
     def q_box_size(self) -> int:
         """``len(self.q_values())``, counted without building the box."""
-        bound = self.q_numerator_bound
-        if self.signature.free_mode == INTEGER:
-            return 2 * bound + 1
-        return 1 + 2 * _coprime_pairs(bound, self.q_denominator_bound)
+        return 1 + 2 * _coprime_pairs(self.q_numerator_bound, self.q_den_bound)
 
     def cardinality(self) -> int:
         sig = self.signature
@@ -191,7 +192,7 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
     """
     sig = spec.signature
     b = spec.q_numerator_bound
-    d = 1 if sig.free_mode == INTEGER else spec.q_denominator_bound
+    d = spec.q_den_bound
     box_floor = (2 * max(b, d) + 1).bit_length() - 1
     box_cheap = not sig.r or min(b, d) <= _COUNT_BOX
     floor = len(sig.prufer_factors) * spec.prufer_depth + sig.s + sig.r * box_floor

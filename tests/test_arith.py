@@ -36,3 +36,29 @@ def test_passing_every_base_above_proven_range_is_not_certified(n):
     # composite that passes all 13 bases: neither may be called prime
     with pytest.raises(PrimalityUnknown, match="cannot certify primality"):
         is_prime(n)
+
+
+def _trial_division(n):
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            e += 1
+            n //= d
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def test_factorize_agrees_with_trial_division_below_1e5():
+    assert all(factorize(n) == _trial_division(n) for n in range(1, 10**5))
+
+
+def test_factorize_stops_at_a_certified_cofactor():
+    assert factorize(2**61 - 1) == [(2**61 - 1, 1)]
+    assert factorize(2**7 * 3 * (2**61 - 1)) == [(2, 7), (3, 1), (2**61 - 1, 1)]
+    with pytest.raises(PrimalityUnknown):
+        factorize(3 * (2**89 - 1))

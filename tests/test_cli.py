@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, report determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fourfree import cli
 from fourfree.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -38,6 +40,8 @@ def strip_timing(obj):
 Z4_FILE = "generators: 1\nrelations:\n4\n"
 Z2_Z6_FILE = "generators: 2\nrelations:\n2 0\n0 6\n"
 FREE3_FILE = "generators: 3\nrelations:\n"
+M61_FILE = f"generators: 1\nrelations:\n{2**61 - 1}\n"
+M89_FILE = f"generators: 1\nrelations:\n{2**89 - 1}\n"
 
 
 class TestPresentationParsing:
@@ -306,6 +310,60 @@ def test_unwritable_report_is_io_exit_without_partial_file(tmp_path):
     assert list(out.parent.iterdir()) == []
 
 
+def test_unserialisable_report_leaves_stdout_empty(tmp_path, capsys):
+    # stdout, like an --output file, gets the whole report or nothing
+    pres = write(tmp_path / "big.txt", f"generators: 2\nrelations:\n{2**9000} 0\n0 {3**5000}\n")
+    assert main(["analyze", "--input", pres]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write report: ") and len(err.splitlines()) == 1
+
+
+def test_main_is_the_only_report_writer():
+    """``_emit`` is called once in the CLI, from ``main``; no ``cmd_*`` writes its own report."""
+
+    class Callers(ast.NodeVisitor):
+        def __init__(self):
+            self.scope = ["cli"]
+            self.found = []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+        def visit_Call(self, node):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "_emit":
+                self.found.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    callers = Callers()
+    callers.visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+    assert callers.found == ["cli.main"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--input", "{m89}"], EXIT_BUDGET),
+    (["embed", "--input", "{m89}"], EXIT_BUDGET),
+    (["verify", "--input", "{m89}"], EXIT_BUDGET),
+    (["search", "--group", "64,128", "--colours", "2"], EXIT_BUDGET),
+    (["demo", "--group", "64,128"], EXIT_BUDGET),
+], ids=["analyze-m89", "embed-m89", "verify-m89", "search-over-cap", "demo-over-cap"])
+def test_documented_exit_code_without_traceback(argv, code, tmp_path):
+    m89 = write(tmp_path / "m89.txt", M89_FILE)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "fourfree", *(arg.format(m89=m89) for arg in argv)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+
+
 def test_report_replaces_an_existing_file(tmp_path, capsys):
     out = tmp_path / "r.json"
     out.write_text("stale", encoding="utf-8")
@@ -343,6 +401,26 @@ class TestPrimeCertification:
     def test_composite_above_proven_range_is_input_error(self, capsys):
         assert main(["verify", "--signature", f"prufer={2**89 + 1};s=0;r=0"]) == EXIT_IO
         assert "is not an odd prime" in capsys.readouterr().err
+
+    def test_mersenne_61_presentation_answers_promptly(self, tmp_path, capsys):
+        pres = write(tmp_path / "m61.txt", M61_FILE)
+        start = time.perf_counter()
+        assert main(["analyze", "--input", pres]) == EXIT_OK
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["analysis"]["primary_factors"] == [[2**61 - 1, 1]]
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "embed", "verify"])
+    def test_presentation_prime_above_proven_range_is_budget_exit(self, command, tmp_path, capsys):
+        pres = write(tmp_path / "m89.txt", M89_FILE)
+        start = time.perf_counter()
+        assert main([command, "--input", pres]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot certify primality of {2**89 - 1}: it passes the Miller-Rabin "
+                       "test, which is proven only below 3317044064679887385961981\n")
 
 
 def test_config_echoes_every_flag_but_output(tmp_path, capsys):
