@@ -5,10 +5,17 @@ from __future__ import annotations
 from typing import Optional
 
 
-# Miller-Rabin with the first 13 primes as bases decides primality of every n
-# below MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), psi_13).
+# Miller-Rabin with the first t primes as bases decides primality of every n
+# below psi_t, the least strong pseudoprime to all of them: _MR_PSI[t - 1] is
+# psi_t (Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp.
+# 86 (2017)).  MR_BOUND = psi_13 ends the proven range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_BOUND = 3317044064679887385961981
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+MR_BOUND = _MR_PSI[-1]
 
 
 class PrimalityUnknown(ValueError):
@@ -24,10 +31,15 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor of at most 41
+        return True
+    for t, psi in enumerate(_MR_PSI, 1):
+        if n < psi:
+            break
     d = n - 1
     k = (d & -d).bit_length() - 1
     d >>= k
-    for a in _MR_BASES:
+    for a in _MR_BASES[:t]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

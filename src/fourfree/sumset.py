@@ -4,8 +4,10 @@ Groups here are finite direct sums of cyclic groups, elements represented as
 coordinate tuples.  ``find_mono_pair_sumset`` checks one colouring table;
 ``all_colourings_forced`` decides by backtracking whether *every* c-colouring
 admits a monochromatic pair, and ``min_colours_avoiding`` finds the least c
-for which some colouring avoids them.  Budget exhaustion is a distinct
-``unknown`` verdict, never conflated with forced/not forced.
+for which some colouring avoids them.  The search decides an element's
+forbidden colours once per depth and skips them, each still counted as a node
+tried.  Budget exhaustion is a distinct ``unknown`` verdict, never conflated
+with forced/not forced.
 
 This module deliberately caps sumsets at |X| = 2 (the triple {2x, 2y, x+y}).
 Forcing monochromatic X+X for larger X is known only in astronomically large
@@ -15,6 +17,7 @@ points, not reproductions of any general claim.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -142,25 +145,26 @@ class SearchResult:
         }
 
 
-def _pair_constraints(group: FiniteGroupSpec) -> tuple[list[Elem], list[list[tuple[int, int, int]]]]:
-    """Unique triples (as element indices) whose monochromaticity is forbidden.
+@functools.lru_cache(maxsize=1)
+def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per element index k (lex order), the prefix pairs (a, b) whose shared
+    colour k may not take.
 
-    Returns the lex-ordered element list and, per element index k, the
-    constraints whose largest index is k (ready once k is coloured).
+    A forbidden triple {2x, 2y, x+y} with sorted indices (a, b, k) is
+    monochromatic exactly when k takes the colour a and b share; a triple
+    (a, k, k) gives the pair (a, a), since k may never take a's colour.
+    Cached for the last group, so the colour counts of one
+    ``min_colours_avoiding`` run share one build.
     """
     elems = group.elements()
     index = {e: i for i, e in enumerate(elems)}
-    triples = set()
+    pairs = [set() for _ in elems]
     for i, x in enumerate(elems):
         dx = index[group.double(x)]
         for y in elems[i + 1 :]:
-            triples.add(
-                tuple(sorted((dx, index[group.double(y)], index[group.add(x, y)])))
-            )
-    by_last = [[] for _ in elems]
-    for tri in triples:
-        by_last[tri[2]].append(tri)
-    return elems, by_last
+            a, b, k = sorted((dx, index[group.double(y)], index[group.add(x, y)]))
+            pairs[k].add((a, a) if b == k else (a, b))
+    return tuple(tuple(sorted(p)) for p in pairs)
 
 
 def all_colourings_forced(
@@ -176,43 +180,46 @@ def all_colourings_forced(
     canonicalized away (element k may only use colours 0..used+1), which is
     sound because the monochromatic condition is permutation-invariant.  The
     witness, when one exists, is the lex-least canonical avoiding colouring.
-    ``budget`` caps the number of colour assignments tried; exceeding it
-    yields verdict ``unknown``.
+    The colours element k may not take are worked out once, on entering
+    depth k; the search then jumps to the next allowed colour.  ``budget``
+    caps the colour assignments tried, and every colour skipped as forbidden
+    still counts as one tried; exceeding it yields verdict ``unknown``.
     """
     if colours < 1:
         raise ValueError("colour count must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if group.size > cap:
         raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
     start = time.perf_counter()
-    elems, cons_by_last = _pair_constraints(group)
-    n = len(elems)
+    pairs = _pair_constraints(group)
+    n = len(pairs)
     assignment = [0] * n
     used = [0] * (n + 1)  # distinct colours among assignment[:k]
-    next_try = [0] * n
+    forbidden = [0] * n  # bitmask of the colours k may not take, given assignment[:k]
     nodes = 0
-    k = 0
-    while k >= 0:
-        limit = min(colours, used[k] + 1)
-        col = next_try[k]
-        if col >= limit:
-            k -= 1
-            if k >= 0:
-                next_try[k] += 1
-            continue
-        nodes += 1
+    k = t = 0  # depth, and the first colour not yet tried there
+    while True:
+        u = used[k]
+        limit = u + 1 if u < colours else colours
+        f = forbidden[k]
+        c = t
+        while c < limit and f >> c & 1:
+            c += 1
+        # colours t..c-1 are forbidden and c, if below limit, is assigned:
+        # every one of them counts as a node
+        nodes += c - t + (c < limit)
         if nodes > budget:
             return SearchResult(
-                group, colours, "unknown", None, nodes - 1, time.perf_counter() - start
+                group, colours, "unknown", None, budget, time.perf_counter() - start
             )
-        assignment[k] = col
-        ok = True
-        for a, b, c in cons_by_last[k]:
-            if assignment[a] == assignment[b] == assignment[c]:
-                ok = False
+        if c == limit:
+            if k == 0:
                 break
-        if not ok:
-            next_try[k] += 1
+            k -= 1
+            t = assignment[k] + 1
             continue
+        assignment[k] = c
         if k == n - 1:
             return SearchResult(
                 group,
@@ -222,9 +229,14 @@ def all_colourings_forced(
                 nodes,
                 time.perf_counter() - start,
             )
-        used[k + 1] = used[k] + (1 if col == used[k] else 0)
         k += 1
-        next_try[k] = 0
+        used[k] = u + (c == u)
+        f = 0
+        for a, b in pairs[k]:
+            if assignment[a] == assignment[b]:
+                f |= 1 << assignment[a]
+        forbidden[k] = f
+        t = 0
     return SearchResult(group, colours, "forced", None, nodes, time.perf_counter() - start)
 
 
@@ -263,6 +275,8 @@ def min_colours_avoiding(
     ``budget`` caps the colour assignments tried over the whole run, summed
     across colour counts; exceeding it yields verdict ``unknown``.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     start = time.perf_counter()
     nodes = 0
     for c in range(1, group.size + 1):

@@ -62,3 +62,32 @@ def test_factorize_stops_at_a_certified_cofactor():
     assert factorize(2**7 * 3 * (2**61 - 1)) == [(2, 7), (3, 1), (2**61 - 1, 1)]
     with pytest.raises(PrimalityUnknown):
         factorize(3 * (2**89 - 1))
+
+
+# psi_t, the least strong pseudoprime to the first t prime bases, and the gap
+# to the next prime above it, for each distinct psi_t below MR_BOUND
+_PSI_AND_GAP = [
+    (2047, 6),
+    (1373653, 24),
+    (25326001, 22),
+    (3215031751, 16),
+    (2152302898747, 24),
+    (3474749660383, 18),
+    (341550071728321, 40),
+    (3825123056546413051, 6),
+    (318665857834031151167461, 22),
+]
+
+
+@pytest.mark.parametrize("psi, gap", _PSI_AND_GAP)
+def test_each_base_prefix_stops_below_its_pseudoprime(psi, gap):
+    # psi_t passes the first t bases, so at psi_t is_prime must use more of them
+    assert not is_prime(psi)
+    assert not any(is_prime(n) for n in range(psi + 1, psi + gap))
+    assert is_prime(psi + gap)
+
+
+def test_next_prime_above_proven_range_is_not_certified():
+    assert MR_BOUND == 3317044064679887385961981  # psi_13
+    with pytest.raises(PrimalityUnknown):
+        is_prime(MR_BOUND + 142)

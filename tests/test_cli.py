@@ -511,3 +511,14 @@ class TestSearch:
         code = main(["search", "--group", "64,64", "--colours", "2", "--cap", "10"])
         assert code == EXIT_BUDGET
         assert capsys.readouterr().err.startswith("error: group size 4096 exceeds cap 10")
+
+    @pytest.mark.parametrize("mode", [["--colours", "2"], ["--min-colours"]])
+    def test_negative_budget_is_usage_error(self, mode):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "fourfree", "search", "--group", "4", *mode, "--budget", "-5"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == EXIT_IO
+        assert "Traceback" not in result.stderr and result.stdout == ""
+        assert result.stderr == "error: budget must be >= 0\n"

@@ -1,10 +1,13 @@
 """Sumset-search tests: mono-pair detection, forced verdicts, min colours."""
 
+import ast
+import inspect
 import random
 from itertools import product
 
 import pytest
 
+from fourfree import sumset
 from fourfree.sumset import (
     FiniteGroupSpec,
     GroupTooLarge,
@@ -31,6 +34,116 @@ def brute_force_forced(group, colours):
         ):
             return False
     return True
+
+
+def reference_forced(group, colours, budget):
+    """Oracle: the per-attempt backtracker, which re-checks every triple that
+    closes at element k for each colour it tries there.
+
+    Returns (verdict, witness, nodes) as ``all_colourings_forced`` does.
+    """
+    elems = group.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    triples = set()
+    for i, x in enumerate(elems):
+        dx = index[group.double(x)]
+        for y in elems[i + 1 :]:
+            triples.add(tuple(sorted((dx, index[group.double(y)], index[group.add(x, y)]))))
+    cons_by_last = [[] for _ in elems]
+    for tri in triples:
+        cons_by_last[tri[2]].append(tri)
+    n = len(elems)
+    assignment = [0] * n
+    used = [0] * (n + 1)
+    next_try = [0] * n
+    nodes = 0
+    k = 0
+    while k >= 0:
+        limit = min(colours, used[k] + 1)
+        col = next_try[k]
+        if col >= limit:
+            k -= 1
+            if k >= 0:
+                next_try[k] += 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            return "unknown", None, nodes - 1
+        assignment[k] = col
+        if any(assignment[a] == assignment[b] == assignment[c] for a, b, c in cons_by_last[k]):
+            next_try[k] += 1
+            continue
+        if k == n - 1:
+            return "not_forced", tuple(assignment), nodes
+        used[k + 1] = used[k] + (1 if col == used[k] else 0)
+        k += 1
+        next_try[k] = 0
+    return "forced", None, nodes
+
+
+def reference_min_colours(group, budget):
+    """Oracle for ``min_colours_avoiding``: (verdict, count, witness, nodes)."""
+    nodes = 0
+    for c in range(1, group.size + 1):
+        verdict, witness, used = reference_forced(group, c, budget - nodes)
+        nodes += used
+        if verdict == "unknown":
+            return "unknown", None, None, nodes
+        if verdict == "not_forced":
+            return "ok", c, witness, nodes
+    raise AssertionError("injective colouring must avoid")
+
+
+ORACLE_SHAPES = [
+    (), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,), (13,),
+    (15,), (16,), (27,), (2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (3, 6), (4, 4),
+    (5, 5), (3, 9), (2, 2, 2), (4, 2, 2), (3, 3, 3), (2, 2, 2, 2),
+]
+
+
+class TestAgainstPerAttemptOracle:
+    """The engine skips forbidden colours in one step; the per-attempt
+    backtracker tries them one at a time.  Verdict, witness and node count
+    must agree, budget exhaustion included."""
+
+    @pytest.mark.parametrize("orders", ORACLE_SHAPES, ids=str)
+    def test_forced_matches_oracle(self, orders):
+        group = FiniteGroupSpec(orders)
+        for colours in (1, 2, 3, 4):
+            for budget in (0, 1, 2, 3, 7, 50, 1_000, 20_000):
+                res = all_colourings_forced(group, colours, budget=budget)
+                assert (res.verdict, res.witness, res.nodes) == reference_forced(
+                    group, colours, budget
+                ), (colours, budget)
+
+    @pytest.mark.parametrize("orders", ORACLE_SHAPES, ids=str)
+    def test_min_colours_matches_oracle(self, orders):
+        group = FiniteGroupSpec(orders)
+        for budget in (0, 5, 100, 5_000, 30_000):
+            res = min_colours_avoiding(group, budget=budget)
+            assert (res.verdict, res.count, res.witness, res.nodes) == reference_min_colours(
+                group, budget
+            ), budget
+
+    # the search workload's six cases, budgets cut to keep the oracle quick
+    @pytest.mark.parametrize("orders, colours, budget", [
+        ((4, 4), None, 20_000),
+        ((16,), None, 20_000),
+        ((27,), None, 200_000),
+        ((3, 9), None, 150_000),
+        ((32,), 3, 150_000),
+        ((4, 4, 2), 3, 150_000),
+    ], ids=["4,4-min", "16-min", "27-min", "3,9-min", "32-c3", "4,4,2-c3"])
+    def test_search_workload_cases_match_oracle(self, orders, colours, budget):
+        group = FiniteGroupSpec(orders)
+        if colours is None:
+            res = min_colours_avoiding(group, budget=budget)
+            assert (res.verdict, res.count, res.witness, res.nodes) == reference_min_colours(
+                group, budget
+            )
+        else:
+            res = all_colourings_forced(group, colours, budget=budget)
+            assert (res.verdict, res.witness, res.nodes) == reference_forced(group, colours, budget)
 
 
 class TestFiniteGroupSpec:
@@ -114,6 +227,11 @@ class TestAllColouringsForced:
                     assert find_mono_pair_sumset(group, res.witness_table()) is None
 
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            all_colourings_forced(Z4, 2, budget=-1)
+
+
 class TestMinColoursAvoiding:
     def test_z4_needs_two(self):
         res = min_colours_avoiding(Z4)
@@ -139,6 +257,31 @@ class TestMinColoursAvoiding:
         assert short.verdict == "unknown" and short.nodes <= 12_100
         exact = min_colours_avoiding(group, budget=12_316)
         assert exact.verdict == "ok" and exact.count == 4 and exact.nodes == 12_316
+
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            min_colours_avoiding(Z4, budget=-5)
+
+    def test_constraints_built_once_per_run(self):
+        group = FiniteGroupSpec((4, 4))
+        sumset._pair_constraints.cache_clear()
+        assert min_colours_avoiding(group).count == 4
+        info = sumset._pair_constraints.cache_info()
+        assert (info.misses, info.hits) == (1, 3)  # colour counts 1..4, one build
+        pairs = sumset._pair_constraints(group)
+        assert isinstance(pairs, tuple) and all(isinstance(p, tuple) for p in pairs)
+
+    def test_calls_search_by_its_module_name(self):
+        """Tracing wraps ``sumset.all_colourings_forced``; the run must reach
+        it through the module global, not a bound alias."""
+        tree = ast.parse(inspect.getsource(min_colours_avoiding))
+        callees = [
+            node.func for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "all_colourings_forced"
+        ]
+        assert callees and all(isinstance(f, ast.Name) for f in callees)
 
 
 class TestAutomorphismInvariance:
