@@ -101,8 +101,9 @@ class Profile:
     values: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if any(v == 0 for v in self.values):
+        values = tuple([v if type(v) is Fraction else Fraction(v) for v in self.values])
+        object.__setattr__(self, "values", values)
+        if 0 in self.values:
             raise ValueError("profiles contain no zero values")
 
     def __len__(self) -> int:
@@ -233,6 +234,7 @@ class AmbientElement:
     # -- canonical text --------------------------------------------------
 
     def canonical_text(self) -> str:
+        """The text form above; ``verifier.Sample.text`` reproduces it from part texts."""
         d_part = ",".join(f"{idx}={coord}" for idx, coord in self.d)
         t_part = "".join(str(b) for b in self.t)
         q_part = ",".join(str(v) for v in self.q)

@@ -14,7 +14,7 @@ Exit codes:
     3  cap or budget exceeded (search verdict "unknown"), or a Pruefer
        factor or presentation with a prime factor whose primality cannot
        be certified
-    4  I/O or parse failure, an unwritable report included
+    4  I/O, parse or usage failure (a negative --budget or --cap, an unwritable report)
 
 Presentation file format (``analyze``, ``embed``, ``verify --input``)::
 
@@ -316,6 +316,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     except SampleCapExceeded as exc:
         report["error"] = str(exc)
         return report, EXIT_BUDGET
+    except ValueError as exc:
+        raise CliError(str(exc))
 
     colour_fn = DROPPED_LAYER_COLOURINGS[args.drop_layer] if args.drop_layer else colour
     triple = find_mono_triples(elements, colour_fn, sample=spec.describe())

@@ -154,7 +154,7 @@ def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple[tuple[int, int], ..
     monochromatic exactly when k takes the colour a and b share; a triple
     (a, k, k) gives the pair (a, a), since k may never take a's colour.
     Cached for the last group, so the colour counts of one
-    ``min_colours_avoiding`` run share one build.
+    ``min_colours_avoiding`` run share one build; that run clears the cache.
     """
     elems = group.elements()
     index = {e: i for i, e in enumerate(elems)}
@@ -189,6 +189,8 @@ def all_colourings_forced(
         raise ValueError("colour count must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if group.size > cap:
         raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
     start = time.perf_counter()
@@ -273,21 +275,19 @@ def min_colours_avoiding(
     Terminates by c = |G|: an injective colouring always avoids, since
     col(2x) = col(2y) = col(x+y) would force 2x = 2y = x+y and hence x = y.
     ``budget`` caps the colour assignments tried over the whole run, summed
-    across colour counts; exceeding it yields verdict ``unknown``.
+    across colour counts; exceeding it yields verdict ``unknown``.  A negative
+    budget or cap is rejected by the first search.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
     start = time.perf_counter()
     nodes = 0
-    for c in range(1, group.size + 1):
-        res = all_colourings_forced(group, c, budget=budget - nodes, cap=cap)
-        nodes += res.nodes
-        if res.verdict == "unknown":
-            return MinColoursResult(
-                group, "unknown", None, None, nodes, time.perf_counter() - start
-            )
-        if res.verdict == "not_forced":
-            return MinColoursResult(
-                group, "ok", c, res.witness, nodes, time.perf_counter() - start
-            )
+    try:
+        for c in range(1, group.size + 1):
+            res = all_colourings_forced(group, c, budget=budget - nodes, cap=cap)
+            nodes += res.nodes
+            if res.verdict == "unknown":
+                return MinColoursResult(group, "unknown", None, None, nodes, time.perf_counter() - start)
+            if res.verdict == "not_forced":
+                return MinColoursResult(group, "ok", c, res.witness, nodes, time.perf_counter() - start)
+    finally:
+        _pair_constraints.cache_clear()
     raise AssertionError("injective colouring must avoid; unreachable")

@@ -24,9 +24,9 @@ scan and the coset census run on ints and tuples only.
 :func:`enumerate_sample` generates the codes straight from the
 :class:`SampleSpec` into a :class:`Sample`; a plain list of elements is coded
 by :meth:`Sample.of`.  An :class:`~fourfree.ambient.AmbientElement` is built
-only where text is written: the elements of a violating pair or of an
-offending coset, and the double whose colour names a violating bucket.  A
-colouring states which layers it reads with
+only for the double whose colour names a violating bucket; :meth:`Sample.text`
+writes the elements of a violating pair or offending coset from per-part
+caches of strings.  A colouring states which layers it reads with
 :func:`~fourfree.colouring.reads_layers`; the sweep compares exactly those
 layers, and calls the colouring itself only for that colour text.
 """
@@ -188,8 +188,10 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
     bounds b, d at least 2 max(b, d) + 1 values.  A size costly to count is
     left uncounted when its lower bound already exceeds the cap.  Random mode
     computes p**depth and draws s + r coordinates per element, so its floor
-    is bounded as well.
+    is bounded as well.  A negative cap is a ``ValueError``.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     sig = spec.signature
     b = spec.q_numerator_bound
     d = spec.q_den_bound
@@ -229,10 +231,11 @@ class Sample(abc.Sequence):
     mode, so a code's parity is its value's).  Distinct elements of the
     signature have distinct codes.  As a sequence the sample reads like the
     list of its elements: :meth:`element` decodes a code on demand, and equal
-    parts of different elements are decoded once and shared.
+    parts of different elements are decoded once and shared; :meth:`text`
+    joins a code's canonical text from texts written once per distinct part.
     """
 
-    __slots__ = ("signature", "M", "L", "codes", "_d", "_t", "_q")
+    __slots__ = ("signature", "M", "L", "codes", "_d", "_t", "_q", "_texts")
 
     def __init__(self, signature: Optional[AmbientSignature], M: int, L: int, codes: tuple[_Code, ...]):
         set_ = object.__setattr__
@@ -243,6 +246,7 @@ class Sample(abc.Sequence):
         set_(self, "_d", cache(lambda d: tuple((i, Fraction(x, M)) for i, x in enumerate(d) if x)))
         set_(self, "_t", cache(lambda t: tuple((t >> k) & 1 for k in reversed(range(signature.s)))))
         set_(self, "_q", cache(lambda q: tuple(Fraction(v, L) for v in q)))
+        set_(self, "_texts", cache(self._part_text))
 
     def __setattr__(self, name, value):
         raise AttributeError("a Sample is immutable")
@@ -272,6 +276,17 @@ class Sample(abc.Sequence):
         """The element with this code, built from the memoised decoded parts."""
         d, t, q = code
         return AmbientElement(self.signature, self._d(d), self._t(t), self._q(q))
+
+    def text(self, code: _Code) -> str:
+        """``self.element(code).canonical_text()``, joined from its cached part texts."""
+        return ";".join(map(self._texts, range(3), code))
+
+    def _part_text(self, k: int, part) -> str:
+        """Part k of the text of the element with this part and zero elsewhere;
+        the constructor checks each part on its own, so this validates the part."""
+        code = [(0,) * len(self.signature.prufer_factors), 0, (0,) * self.signature.r]
+        code[k] = part
+        return self.element(tuple(code)).canonical_text().split(";")[k]
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -430,7 +445,7 @@ def find_mono_triples(
 
     candidate_pairs = 0
     violations = []
-    texts = cache(lambda code: s.element(code).canonical_text())
+    texts = cache(s.text)
     for (d_key, y_key), members in buckets.items():
         candidate_pairs += len(members) * (len(members) - 1) // 2
         classes = [members]
@@ -454,7 +469,8 @@ def find_mono_triples(
             d, _, q = members[0]
             double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
             key_text = _key_text(colour_fn(s.element(double)))
-            violations.extend((*sorted((texts(a), texts(b))), key_text) for a, b in hits)
+            for ta, tb in ((texts(a), texts(b)) for a, b in hits):
+                violations.append((ta, tb, key_text) if ta < tb else (tb, ta, key_text))
 
     n = len(uniq)
     return TripleReport(
@@ -509,7 +525,7 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
         if not t and not (integer and any(v & 1 for v in q)):
             halvables.append(code)
     offenders = [
-        tuple(sorted(s.element(code).canonical_text() for code in halvables))
+        tuple(sorted(map(s.text, halvables)))
         for halvables in cosets.values()
         if len(halvables) > 1
     ]

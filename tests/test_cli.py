@@ -364,6 +364,22 @@ def test_documented_exit_code_without_traceback(argv, code, tmp_path):
     assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--signature", "prufer=3;s=1;r=1", "--cap", "-5"],
+    ["verify", "--mode", "random", "--count", "3", "--cap", "-5"],
+    ["search", "--group", "4", "--colours", "2", "--cap", "-1"],
+    ["search", "--group", "4", "--min-colours", "--cap", "-1"],
+], ids=["verify", "verify-random", "search", "search-min-colours"])
+def test_negative_cap_is_usage_error(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "fourfree", *argv], env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == EXIT_IO
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    assert result.stderr == "error: cap must be >= 0\n"
+
+
 def test_report_replaces_an_existing_file(tmp_path, capsys):
     out = tmp_path / "r.json"
     out.write_text("stale", encoding="utf-8")

@@ -231,6 +231,11 @@ class TestAllColouringsForced:
         with pytest.raises(ValueError, match="budget must be >= 0"):
             all_colourings_forced(Z4, 2, budget=-1)
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap must be >= 0") as info:
+            all_colourings_forced(Z4, 2, cap=-1)
+        assert not isinstance(info.value, GroupTooLarge)
+
 
 class TestMinColoursAvoiding:
     def test_z4_needs_two(self):
@@ -263,14 +268,40 @@ class TestMinColoursAvoiding:
         with pytest.raises(ValueError, match="budget must be >= 0"):
             min_colours_avoiding(Z4, budget=-5)
 
-    def test_constraints_built_once_per_run(self):
+    def test_constraints_built_once_per_run(self, monkeypatch):
+        # the run clears the cache as it returns, so read it after each search
+        infos = []
+
+        def search(*args, **kwargs):
+            res = all_colourings_forced(*args, **kwargs)
+            infos.append(sumset._pair_constraints.cache_info())
+            return res
+
+        monkeypatch.setattr(sumset, "all_colourings_forced", search)
         group = FiniteGroupSpec((4, 4))
         sumset._pair_constraints.cache_clear()
         assert min_colours_avoiding(group).count == 4
-        info = sumset._pair_constraints.cache_info()
+        info = infos[-1]
         assert (info.misses, info.hits) == (1, 3)  # colour counts 1..4, one build
         pairs = sumset._pair_constraints(group)
         assert isinstance(pairs, tuple) and all(isinstance(p, tuple) for p in pairs)
+
+    @pytest.mark.parametrize("budget, verdict", [(1_000_000, "ok"), (100, "unknown")])
+    def test_constraints_released_after_the_run(self, budget, verdict):
+        # at the 4,096-element cap the constraints take hundreds of MB
+        assert min_colours_avoiding(FiniteGroupSpec((4, 4)), budget=budget).verdict == verdict
+        assert sumset._pair_constraints.cache_info().currsize == 0
+
+    def test_constraints_released_after_a_rejected_run(self):
+        group = FiniteGroupSpec((4, 4))
+        sumset._pair_constraints(group)
+        with pytest.raises(GroupTooLarge):
+            min_colours_avoiding(group, cap=10)
+        assert sumset._pair_constraints.cache_info().currsize == 0
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            min_colours_avoiding(Z4, cap=-1)
 
     def test_calls_search_by_its_module_name(self):
         """Tracing wraps ``sumset.all_colourings_forced``; the run must reach

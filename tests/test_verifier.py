@@ -1,6 +1,8 @@
 """Verifier tests: sampling, the pair sweep, coset checks, the order-4 demo."""
 
+import ast
 import hashlib
+import inspect
 import json
 import random
 import time
@@ -19,6 +21,7 @@ from fourfree.colouring import (
 from fourfree.sumset import FiniteGroupSpec
 from fourfree.verifier import (
     SHIPPED_SAMPLES,
+    Sample,
     SampleCapExceeded,
     SampleSpec,
     check_coset_uniqueness,
@@ -84,6 +87,13 @@ class TestEnumerateSample:
         with pytest.raises(SampleCapExceeded):
             enumerate_sample(spec, cap=4)
         assert len(enumerate_sample(spec, cap=5)) == 5
+
+    @pytest.mark.parametrize("mode", [{}, {"mode": "random", "count": 5}])
+    def test_negative_cap_rejected(self, mode):
+        spec = SampleSpec(AmbientSignature((3,), 1, 1), **mode)
+        with pytest.raises(ValueError, match="cap must be >= 0") as info:
+            enumerate_sample(spec, cap=-5)
+        assert not isinstance(info.value, SampleCapExceeded)
 
     @pytest.mark.parametrize("free_mode", ["rational", INTEGER])
     def test_q_box_size_counts_the_box(self, free_mode):
@@ -481,3 +491,51 @@ class TestCodedSample:
         sample = enumerate_sample(SHIPPED_SAMPLES["depth-two"])
         assert len({id(a.d) for a in sample}) == 9 * 25
         assert len({id(a.q) for a in sample}) == 7
+
+    @staticmethod
+    def assert_texts_match(sample):
+        assert [sample.text(code) for code in sample.codes] == [a.canonical_text() for a in sample]
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_SAMPLES))
+    def test_text_matches_canonical_text(self, name):
+        self.assert_texts_match(enumerate_sample(SHIPPED_SAMPLES[name]))
+
+    def test_text_matches_canonical_text_in_random_mode(self):
+        spec = SampleSpec(AmbientSignature((3, 5, 3), 3, 2), prufer_depth=2, q_numerator_bound=3,
+                          q_denominator_bound=4, mode="random", count=400, seed=11)
+        self.assert_texts_match(enumerate_sample(spec))
+
+    @pytest.mark.parametrize("sig", [AmbientSignature((3, 5), 0, 1), AmbientSignature((5,), 2, 0)],
+                             ids=["s=0", "r=0"])
+    def test_text_matches_canonical_text_of_listed_elements(self, sig):
+        rng = random.Random(5)
+        elements = [
+            element(sig, d=[(i, Fraction(rng.randrange(p**2), p**2)) for i, p in enumerate(sig.prufer_factors)],
+                    t=[rng.randrange(2) for _ in range(sig.s)],
+                    q=[Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(sig.r)])
+            for _ in range(60)
+        ]
+        sample = Sample.of(elements)
+        assert [sample.text(code) for code in sample.codes] == [a.canonical_text() for a in elements]
+
+    def test_text_of_invalid_code_raises_like_element(self):
+        # 1/5 is no Pruefer coordinate at a factor of prime 3
+        sample = Sample(AmbientSignature((3,), 0, 0), 5, 1, (((1,), 0, ()),))
+        with pytest.raises(ValueError) as from_element:
+            sample.element(sample.codes[0])
+        with pytest.raises(ValueError) as from_text:
+            sample.text(sample.codes[0])
+        assert str(from_text.value) == str(from_element.value) == (
+            "coordinate 1/5 at index 0 needs a power of 3 as denominator"
+        )
+        assert type(from_text.value) is type(from_element.value)
+
+    @pytest.mark.parametrize("fn", [find_mono_triples, check_coset_uniqueness])
+    def test_report_text_comes_from_sample_text(self, fn):
+        """Element text in a report is joined by Sample.text from per-part texts,
+        never written element by element with canonical_text."""
+        names = {
+            getattr(node, "attr", getattr(node, "id", None))
+            for node in ast.walk(ast.parse(inspect.getsource(fn)))
+        }
+        assert "canonical_text" not in names and "text" in names
