@@ -241,10 +241,23 @@ class AmbientElement:
         return f"d:{{{d_part}}};t:{t_part};q:({q_part})"
 
     _TEXT_RE = re.compile(r"^d:\{(?P<d>[^{}]*)\};t:(?P<t>[01]*);q:\((?P<q>[^()]*)\)$")
+    _INDEX_RE = re.compile(r"[0-9]+")
+    _NUMBER_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+    @classmethod
+    def _number(cls, text: str) -> Fraction:
+        """A number as the canonical text writes one: ``-?digits(/digits)?``."""
+        if not cls._NUMBER_RE.fullmatch(text):
+            raise ValueError(f"{text!r} is not of the form n or n/m")
+        return Fraction(text)
 
     @classmethod
     def parse(cls, signature: AmbientSignature, text: str) -> "AmbientElement":
-        """Parse canonical element text against a signature."""
+        """Parse canonical element text against a signature.
+
+        Numbers are integers or fractions of digits, as :meth:`canonical_text`
+        writes them, and each d index appears at most once.
+        """
         m = cls._TEXT_RE.match(text.strip())
         if m is None:
             raise ElementParseError(f"not canonical element text: {text!r}")
@@ -253,13 +266,15 @@ class AmbientElement:
         if d_body:
             for item in d_body.split(","):
                 idx_s, eq, val_s = item.partition("=")
-                if not eq:
+                if not eq or not cls._INDEX_RE.fullmatch(idx_s):
                     raise ElementParseError(f"bad d entry {item!r} (need idx=value)")
                 try:
                     idx = int(idx_s)
-                    val = Fraction(val_s)
+                    val = cls._number(val_s)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ElementParseError(f"bad d entry {item!r}: {exc}") from None
+                if idx in dm:
+                    raise ElementParseError(f"repeated d index {idx}")
                 dm[idx] = val
         t_bits = tuple(int(b) for b in m.group("t"))
         q_body = m.group("q")
@@ -267,7 +282,7 @@ class AmbientElement:
         if q_body:
             for item in q_body.split(","):
                 try:
-                    q_vals.append(Fraction(item))
+                    q_vals.append(cls._number(item))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ElementParseError(f"bad q entry {item!r}: {exc}") from None
         try:

@@ -2,7 +2,9 @@
 
 Every run echoes its full effective configuration into a JSON report, so
 re-running with the same flags reproduces the report byte for byte apart
-from the ``elapsed_s`` timing fields.  Each ``cmd_*`` prints its
+from the ``elapsed_s`` timing fields.  The library's results hold no timing:
+this module alone reads the clock, around the sweep and the search, and
+adds ``elapsed_s`` last to their report blocks.  Each ``cmd_*`` prints its
 human-readable lines and returns ``(report, exit_code)``, the report None
 when there is none to write; :func:`main` alone writes the report, whole or
 not at all, and turns errors into exit codes.
@@ -11,9 +13,10 @@ Exit codes:
     0  success / zero violations
     1  monochromatic violations found
     2  hypothesis violated (the input group has an element of order 4)
-    3  cap or budget exceeded (search verdict "unknown"), or a Pruefer
-       factor or presentation with a prime factor whose primality cannot
-       be certified
+    3  cap or budget exceeded (search verdict "unknown"), a presentation
+       of more than MAX_PRESENTATION_SIZE generators plus relations, or a
+       Pruefer factor or presentation with a prime factor whose primality
+       cannot be certified
     4  I/O, parse or usage failure (a negative --budget or --cap, an unwritable report)
 
 Presentation file format (``analyze``, ``embed``, ``verify --input``)::
@@ -28,8 +31,8 @@ Ambient signature text (``verify --signature``, ``colour --signature``)::
 
     prufer=3,5;s=2;r=1
 
-Elements are written in the canonical text form of the ambient module,
-e.g. ``d:{0=1/9,1=2/5};t:10;q:(0,3/2)``.
+with each field at most once.  Elements are written in the canonical text
+form of the ambient module, e.g. ``d:{0=1/9,1=2/5};t:10;q:(0,3/2)``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import json
 import os
 import shutil
 import sys
+import time
 from typing import Optional, Sequence
 
 from .ambient import (
@@ -85,6 +89,11 @@ EXIT_IO = 4
 
 DEFAULT_SIGNATURE = SHIPPED_SAMPLES["demo-default"].signature
 
+# Most generators plus relations a presentation may have, checked before SNF
+# runs: SNF works on an (m + n)-square bordered matrix, so its memory grows
+# with the square of the size (2,000 generators peak at 108 MB in ``analyze``).
+MAX_PRESENTATION_SIZE = 1_000
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_IO):
@@ -121,6 +130,12 @@ def parse_presentation_text(text: str, source: str = "<input>") -> Presentation:
             raise CliError(f"{source}:{lineno}: bad relation row {line!r}")
     if n_generators is None:
         raise CliError(f"{source}: missing 'generators:' field")
+    if n_generators + len(relations) > MAX_PRESENTATION_SIZE:
+        raise CliError(
+            f"{source}: {n_generators} generators and {len(relations)} relations exceed "
+            f"the limit of {MAX_PRESENTATION_SIZE} together",
+            EXIT_BUDGET,
+        )
     try:
         return Presentation(n_generators, tuple(relations))
     except ValueError as exc:
@@ -137,10 +152,11 @@ def load_presentation(path: str) -> Presentation:
 
 
 def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignature:
-    """Parse ``prufer=3,5;s=2;r=1`` into a signature."""
+    """Parse ``prufer=3,5;s=2;r=1`` into a signature; each field at most once."""
     prufer: tuple[int, ...] = ()
     s = 0
     r = 0
+    seen = set()
     for field in text.split(";"):
         field = field.strip()
         if not field:
@@ -150,6 +166,9 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
         value = value.strip()
         if not eq:
             raise CliError(f"bad signature field {field!r} (need key=value)")
+        if key in seen:
+            raise CliError(f"repeated signature field {key!r}")
+        seen.add(key)
         try:
             if key == "prufer":
                 prufer = tuple(int(tok) for tok in value.split(",") if tok.strip())
@@ -211,6 +230,13 @@ def _emit(report: dict, output: Optional[str]) -> None:
 
 
 # -- subcommands -------------------------------------------------------------
+
+
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the seconds it took, for a report's ``elapsed_s``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
 
 
 def _config(args, **overrides) -> dict:
@@ -320,9 +346,9 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise CliError(str(exc))
 
     colour_fn = DROPPED_LAYER_COLOURINGS[args.drop_layer] if args.drop_layer else colour
-    triple = find_mono_triples(elements, colour_fn, sample=spec.describe())
+    triple, elapsed = _timed(find_mono_triples, elements, colour_fn)
     coset = check_coset_uniqueness(elements)
-    report["triple_report"] = triple.describe()
+    report["triple_report"] = {"sample": spec.describe(), **triple.describe(), "elapsed_s": elapsed}
     report["coset_report"] = coset.describe()
     print(
         f"evaluated {triple.candidate_pairs} candidate pairs (pairs sharing the colour "
@@ -364,14 +390,15 @@ def cmd_search(args) -> tuple[dict, int]:
         raise CliError("search needs --colours N or --min-colours")
     try:
         if args.min_colours:
-            res = min_colours_avoiding(group, budget=args.budget, cap=args.cap)
+            res, elapsed = _timed(min_colours_avoiding, group, budget=args.budget, cap=args.cap)
         else:
-            res = all_colourings_forced(group, args.colours, budget=args.budget, cap=args.cap)
+            res, elapsed = _timed(all_colourings_forced, group, args.colours, args.budget, args.cap)
     except GroupTooLarge:
         raise  # a cap, not a bad flag: main maps it to exit 3
     except ValueError as exc:
         raise CliError(str(exc))
-    report = {"config": _config(args, group=list(group.orders)), "result": res.describe()}
+    result = {**res.describe(), "elapsed_s": elapsed}
+    report = {"config": _config(args, group=list(group.orders)), "result": result}
     if res.verdict == "unknown":
         print("verdict: unknown (budget exceeded)", file=sys.stderr)
         return report, EXIT_BUDGET

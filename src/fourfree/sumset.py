@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -129,7 +128,6 @@ class SearchResult:
     verdict: str  # "forced" | "not_forced" | "unknown"
     witness: Optional[tuple[int, ...]]  # colour per element, lex element order
     nodes: int
-    elapsed_s: float
 
     def witness_table(self) -> Optional[dict[Elem, int]]:
         return _witness_table(self.group, self.witness)
@@ -141,7 +139,6 @@ class SearchResult:
             "verdict": self.verdict,
             "witness": _witness_json(self.group, self.witness),
             "nodes": self.nodes,
-            "elapsed_s": self.elapsed_s,
         }
 
 
@@ -193,7 +190,6 @@ def all_colourings_forced(
         raise ValueError("cap must be >= 0")
     if group.size > cap:
         raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
-    start = time.perf_counter()
     pairs = _pair_constraints(group)
     n = len(pairs)
     assignment = [0] * n
@@ -212,9 +208,7 @@ def all_colourings_forced(
         # every one of them counts as a node
         nodes += c - t + (c < limit)
         if nodes > budget:
-            return SearchResult(
-                group, colours, "unknown", None, budget, time.perf_counter() - start
-            )
+            return SearchResult(group, colours, "unknown", None, budget)
         if c == limit:
             if k == 0:
                 break
@@ -223,14 +217,7 @@ def all_colourings_forced(
             continue
         assignment[k] = c
         if k == n - 1:
-            return SearchResult(
-                group,
-                colours,
-                "not_forced",
-                tuple(assignment),
-                nodes,
-                time.perf_counter() - start,
-            )
+            return SearchResult(group, colours, "not_forced", tuple(assignment), nodes)
         k += 1
         used[k] = u + (c == u)
         f = 0
@@ -239,7 +226,7 @@ def all_colourings_forced(
                 f |= 1 << assignment[a]
         forbidden[k] = f
         t = 0
-    return SearchResult(group, colours, "forced", None, nodes, time.perf_counter() - start)
+    return SearchResult(group, colours, "forced", None, nodes)
 
 
 @dataclass(frozen=True)
@@ -249,7 +236,6 @@ class MinColoursResult:
     count: Optional[int]
     witness: Optional[tuple[int, ...]]
     nodes: int
-    elapsed_s: float
 
     def witness_table(self) -> Optional[dict[Elem, int]]:
         return _witness_table(self.group, self.witness)
@@ -261,7 +247,6 @@ class MinColoursResult:
             "min_colours": self.count,
             "witness": _witness_json(self.group, self.witness),
             "nodes": self.nodes,
-            "elapsed_s": self.elapsed_s,
         }
 
 
@@ -278,16 +263,15 @@ def min_colours_avoiding(
     across colour counts; exceeding it yields verdict ``unknown``.  A negative
     budget or cap is rejected by the first search.
     """
-    start = time.perf_counter()
     nodes = 0
     try:
         for c in range(1, group.size + 1):
             res = all_colourings_forced(group, c, budget=budget - nodes, cap=cap)
             nodes += res.nodes
             if res.verdict == "unknown":
-                return MinColoursResult(group, "unknown", None, None, nodes, time.perf_counter() - start)
+                return MinColoursResult(group, "unknown", None, None, nodes)
             if res.verdict == "not_forced":
-                return MinColoursResult(group, "ok", c, res.witness, nodes, time.perf_counter() - start)
+                return MinColoursResult(group, "ok", c, res.witness, nodes)
     finally:
         _pair_constraints.cache_clear()
     raise AssertionError("injective colouring must avoid; unreachable")

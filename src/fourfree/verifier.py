@@ -11,7 +11,9 @@ violations that validate the checker itself.
 The pair sweep buckets elements by the colour of their double, so only pairs
 that already agree on that colour are tested against colour(a+b).  Sweeps
 are deterministic: the report (violations in canonical order, all counts)
-depends only on the set of elements swept.
+depends only on the set of elements swept.  Results are plain values with
+no timing, so two sweeps compare with ``==``; the CLI adds the window and
+the elapsed time when it writes a report.
 
 A window is held as integer codes from start to verdict.  A Pruefer
 coordinate is its numerator over M, the lcm of the window's Pruefer
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from collections import abc
 from dataclasses import dataclass
 from functools import cache
@@ -222,6 +223,7 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
 _Code = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
+@dataclass(frozen=True)
 class Sample(abc.Sequence):
     """A window of ambient elements, held as integer codes (d, t, q).
 
@@ -229,27 +231,26 @@ class Sample(abc.Sequence):
     of Pruefer numerators over ``M``, t the order-2 bits as a mask with the
     first bit highest, q the free numerators over ``L`` (1 in integer free
     mode, so a code's parity is its value's).  Distinct elements of the
-    signature have distinct codes.  As a sequence the sample reads like the
-    list of its elements: :meth:`element` decodes a code on demand, and equal
-    parts of different elements are decoded once and shared; :meth:`text`
-    joins a code's canonical text from texts written once per distinct part.
+    signature have distinct codes.  Two samples are equal when their
+    signatures, ``M``, ``L`` and codes are.  As a read-only sequence the
+    sample yields its elements: :meth:`element` decodes a code on demand, and
+    equal parts of different elements are decoded once and shared;
+    :meth:`text` joins a code's canonical text from texts written once per
+    distinct part.
     """
 
-    __slots__ = ("signature", "M", "L", "codes", "_d", "_t", "_q", "_texts")
+    signature: Optional[AmbientSignature]
+    M: int
+    L: int
+    codes: tuple[_Code, ...]
 
-    def __init__(self, signature: Optional[AmbientSignature], M: int, L: int, codes: tuple[_Code, ...]):
+    def __post_init__(self):
+        sig, M, L = self.signature, self.M, self.L
         set_ = object.__setattr__
-        set_(self, "signature", signature)
-        set_(self, "M", M)
-        set_(self, "L", L)
-        set_(self, "codes", codes)
         set_(self, "_d", cache(lambda d: tuple((i, Fraction(x, M)) for i, x in enumerate(d) if x)))
-        set_(self, "_t", cache(lambda t: tuple((t >> k) & 1 for k in reversed(range(signature.s)))))
+        set_(self, "_t", cache(lambda t: tuple((t >> k) & 1 for k in reversed(range(sig.s)))))
         set_(self, "_q", cache(lambda q: tuple(Fraction(v, L) for v in q)))
         set_(self, "_texts", cache(self._part_text))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a Sample is immutable")
 
     @classmethod
     def of(cls, elements: Sequence[AmbientElement]) -> "Sample":
@@ -298,25 +299,6 @@ class Sample(abc.Sequence):
 
     def __iter__(self):
         return map(self.element, self.codes)
-
-    def __eq__(self, other):
-        if isinstance(other, Sample) and (self.signature, self.M, self.L) == (
-            other.signature, other.M, other.L
-        ):
-            return self.codes == other.codes
-        if isinstance(other, (Sample, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (Sample, list)):
-            return list(self) + list(other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, list):
-            return other + list(self)
-        return NotImplemented
 
 
 def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
@@ -372,22 +354,19 @@ def _key_text(key) -> str:
 class TripleReport:
     """Outcome of one pair sweep; violations in canonical text order."""
 
-    sample: Optional[dict]
     size: int
     distinct: int
     pairs: int
     n_buckets: int
     candidate_pairs: int
     violations: tuple[tuple[str, str, str], ...]
-    elapsed_s: float
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def describe(self, include_timing: bool = True) -> dict:
-        out = {
-            "sample": self.sample,
+    def describe(self) -> dict:
+        return {
             "size": self.size,
             "distinct": self.distinct,
             "pairs": self.pairs,
@@ -398,15 +377,11 @@ class TripleReport:
                 {"a": a, "b": b, "colour": c} for a, b, c in self.violations
             ],
         }
-        if include_timing:
-            out["elapsed_s"] = self.elapsed_s
-        return out
 
 
 def find_mono_triples(
     elements: Sequence[AmbientElement],
     colour_fn: Callable[[AmbientElement], object] = colour,
-    sample: Optional[dict] = None,
 ) -> TripleReport:
     """Check every unordered pair a != b for colour(2a) = colour(2b) = colour(a+b).
 
@@ -418,7 +393,6 @@ def find_mono_triples(
     bucket's.  ``elements`` is a :class:`Sample` or a list, which is coded
     with :meth:`Sample.of`.
     """
-    start = time.perf_counter()
     layers = getattr(colour_fn, "layers", None)
     if layers is None:
         raise TypeError(
@@ -474,14 +448,12 @@ def find_mono_triples(
 
     n = len(uniq)
     return TripleReport(
-        sample=sample,
         size=len(s),
         distinct=n,
         pairs=n * (n - 1) // 2,
         n_buckets=len(buckets),
         candidate_pairs=candidate_pairs,
         violations=tuple(sorted(violations)),
-        elapsed_s=time.perf_counter() - start,
     )
 
 

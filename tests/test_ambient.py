@@ -229,6 +229,15 @@ class TestCanonicalText:
             "d:{9=1/9};t:00;q:(0,0)",
             "d:{0=1/4};t:00;q:(0,0)",
             "d:{0=x};t:00;q:(0,0)",
+            "d:{0=1/3,0=2/3};t:00;q:(0,0)",
+            "d:{+0=1/3};t:00;q:(0,0)",
+            "d:{0=1e0/3};t:00;q:(0,0)",
+            "d:{};t:00;q:(1e3,0)",
+            "d:{};t:00;q:(0.5,0)",
+            "d:{};t:00;q:(+1,0)",
+            "d:{};t:00;q:(1_0,0)",
+            "d:{};t:00;q:( 1,0)",
+            "d:{};t:00;q:(1/-2,0)",
         ],
     )
     def test_parse_rejects_malformed(self, bad):

@@ -72,6 +72,18 @@ class TestPresentationParsing:
             parse_signature_text("prufer=4")
         with pytest.raises(Exception):
             parse_signature_text("bogus=1")
+        with pytest.raises(cli.CliError, match="repeated signature field 's'"):
+            parse_signature_text("prufer=3;s=1;r=0;s=2")
+
+    def test_presentation_size_is_bounded(self):
+        limit = cli.MAX_PRESENTATION_SIZE
+        assert parse_presentation_text(f"generators: {limit}\n") == Presentation(limit)
+        rows = "0 0\n" * (limit - 2)
+        assert len(parse_presentation_text(f"generators: 2\nrelations:\n{rows}").relations) == limit - 2
+        for text in (f"generators: {limit + 1}\n", f"generators: 2\nrelations:\n{rows}0 0\n"):
+            with pytest.raises(cli.CliError, match=f"exceed the limit of {limit}") as err:
+                parse_presentation_text(text)
+            assert err.value.code == EXIT_BUDGET
 
 
 class TestAnalyze:
@@ -538,3 +550,87 @@ class TestSearch:
         assert result.returncode == EXIT_IO
         assert "Traceback" not in result.stderr and result.stdout == ""
         assert result.stderr == "error: budget must be >= 0\n"
+
+
+def run_cli(argv):
+    """A subprocess run of the CLI, and the seconds it took."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "fourfree", *argv], env=env, capture_output=True, text=True, timeout=20,
+    )
+    return result, time.perf_counter() - start
+
+
+NOT_A_NUMBER = "is not of the form n or n/m"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["colour", "--signature", "prufer=;s=0;r=1", "d:{};t:;q:(1e1000000)"], NOT_A_NUMBER),
+    (["colour", "--signature", "prufer=;s=0;r=1", "d:{};t:;q:(1e100000000)"], NOT_A_NUMBER),
+    (["colour", "--signature", "prufer=;s=0;r=1", "d:{};t:;q:(0.5)"], NOT_A_NUMBER),
+    (["colour", "--signature", "prufer=3;s=0;r=0", "d:{0=1/3,0=2/3};t:;q:()"], "repeated d index 0"),
+    (["colour", "--signature", "prufer=3;s=1;r=0;s=2", "d:{};t:0;q:()"], "repeated signature field 's'"),
+    (["verify", "--signature", "prufer=3;s=1;r=0;s=2"], "repeated signature field 's'"),
+], ids=["exponent", "huge-exponent", "decimal", "repeated-d-index", "colour-repeated-field",
+        "verify-repeated-field"])
+def test_non_canonical_text_is_a_usage_error(argv, message):
+    result, elapsed = run_cli(argv)
+    assert elapsed < 2.0
+    assert result.returncode == EXIT_IO
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{pres}"],
+    ["embed", "--input", "{pres}"],
+    ["verify", "--input", "{pres}"],
+], ids=["analyze", "embed", "verify"])
+def test_oversized_presentation_exits_before_snf(argv, tmp_path):
+    pres = write(tmp_path / "wide.pres", "generators: 30000\n")
+    result, elapsed = run_cli([arg.format(pres=pres) for arg in argv])
+    assert elapsed < 2.0
+    assert result.returncode == EXIT_BUDGET
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: {pres}: 30000 generators and 0 relations exceed the limit of "
+        f"{cli.MAX_PRESENTATION_SIZE} together\n"
+    )
+
+
+def test_cli_adds_sample_first_and_elapsed_last(tmp_path, capsys):
+    """The library's results hold no timing; the CLI labels and times them."""
+    out = tmp_path / "r.json"
+    assert main(["verify", "--output", str(out)]) == EXIT_OK
+    triple = json.loads(out.read_text(encoding="utf-8"))["triple_report"]
+    assert list(triple) == [
+        "sample", "size", "distinct", "pairs", "n_buckets", "candidate_pairs",
+        "n_violations", "violations", "elapsed_s",
+    ]
+    assert triple["sample"]["signature"]["prufer_factors"] == [3, 5]
+    assert isinstance(triple["elapsed_s"], float)
+    for mode, keys in (
+        (["--colours", "2"], ["group", "colours", "verdict", "witness", "nodes", "elapsed_s"]),
+        (["--min-colours"], ["group", "verdict", "min_colours", "witness", "nodes", "elapsed_s"]),
+    ):
+        assert main(["search", "--group", "4", *mode, "--output", str(out)]) == EXIT_OK
+        result = json.loads(out.read_text(encoding="utf-8"))["result"]
+        assert list(result) == keys and isinstance(result["elapsed_s"], float)
+
+
+def test_only_the_cli_reads_the_clock():
+    """Within the package only ``cli`` imports ``time``, so library results hold no timing."""
+    importers = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "time" or (m or "").startswith("time.") for m in modules):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
