@@ -41,6 +41,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 import sys
 import time
@@ -484,12 +485,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, code = args.func(args)
         if report is not None:
             _emit(report, args.output)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (GroupTooLarge, PrimalityUnknown) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except (CliError, GroupTooLarge, PrimalityUnknown) as exc:
+        # each quoted, bracketed or numeric run over 40 characters is cut to 36 on the one line
+        text = re.sub(r"'[^']*'|\"[^\"]*\"|\([^()]*\)|[-/\d]+",
+                      lambda m: m[0] if len(m[0]) <= 40 else f"{m[0][:32]}...{m[0][-1]}", str(exc))
+        print(f"error: {text}", file=sys.stderr)
+        return getattr(exc, "code", EXIT_BUDGET)
     return code
 
 

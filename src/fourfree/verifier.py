@@ -15,20 +15,20 @@ depends only on the set of elements swept.  Results are plain values with
 no timing, so two sweeps compare with ``==``; the CLI adds the window and
 the elapsed time when it writes a report.
 
-A window is held as integer codes from start to verdict.  A Pruefer
-coordinate is its numerator over M, the lcm of the window's Pruefer
-denominators, and is added and doubled mod M; a free coordinate is its
-numerator over L, the lcm of the free denominators; the order-2 block is a
-bitmask.  Because each block shares one denominator, the tuple of nonzero
-numerators of a block determines its profile exactly, halvability is t == 0
-(and, in integer free mode, every free code even), and bucketing, the pair
-scan and the coset census run on ints and tuples only.
-:func:`enumerate_sample` generates the codes straight from the
-:class:`SampleSpec` into a :class:`Sample`; a plain list of elements is coded
-by :meth:`Sample.of`.  An :class:`~fourfree.ambient.AmbientElement` is built
-only for the double whose colour names a violating bucket; :meth:`Sample.text`
-writes the elements of a violating pair or offending coset from per-part
-caches of strings.  A colouring states which layers it reads with
+A window is held as integer codes.  A Pruefer coordinate is its numerator
+over M, the lcm of the window's Pruefer denominators, and is added and
+doubled mod M; a free coordinate is its numerator over L, the lcm of the free
+denominators; the order-2 block is a bitmask.  Because each block shares one
+denominator, the tuple of nonzero numerators of a block determines its
+profile exactly, halvability is t == 0 (and, in integer free mode, every free
+code even), and bucketing, the pair scan and the coset census run on ints and
+tuples only.  :func:`enumerate_sample` codes random draws straight from the
+:class:`SampleSpec`, and an exhaustive window as the unexpanded product of its
+parts, swept one bucket at a time (see :func:`_classes`); a list of elements
+is coded by :meth:`Sample.of`.  An :class:`~fourfree.ambient.AmbientElement`
+is built only for the double whose colour names a violating bucket;
+:meth:`Sample.text` writes the elements of a violating pair or offending coset
+from per-part caches of strings.  A colouring states which layers it reads with
 :func:`~fourfree.colouring.reads_layers`; the sweep compares exactly those
 layers, and calls the colouring itself only for that colour text.
 """
@@ -223,26 +223,54 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
 _Code = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
+class _Product(abc.Sequence):
+    """The codes (d, t, q) of D x T x Q in d-major order, never expanded: it
+    indexes, slices and iterates like the tuple of those codes, is equal to it
+    and hashes like it (only the hash builds that tuple, for a moment)."""
+
+    def __init__(self, *parts: tuple):
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.parts))
+
+    def __getitem__(self, index):
+        ds, ts, qs = self.parts
+        at = lambda i: (ds[i // len(qs) // len(ts)], ts[i // len(qs) % len(ts)], qs[i % len(qs)])
+        picked = range(len(self))[index]
+        return tuple(map(at, picked)) if isinstance(index, slice) else at(picked)
+
+    def __iter__(self):
+        return product(*self.parts)
+
+    def __eq__(self, other):
+        same_len = isinstance(other, (tuple, _Product)) and len(other) == len(self)
+        return same_len and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class Sample(abc.Sequence):
     """A window of ambient elements, held as integer codes (d, t, q).
 
-    ``codes`` keeps the draw order, duplicates included.  d is the dense tuple
-    of Pruefer numerators over ``M``, t the order-2 bits as a mask with the
-    first bit highest, q the free numerators over ``L`` (1 in integer free
-    mode, so a code's parity is its value's).  Distinct elements of the
-    signature have distinct codes.  Two samples are equal when their
-    signatures, ``M``, ``L`` and codes are.  As a read-only sequence the
-    sample yields its elements: :meth:`element` decodes a code on demand, and
-    equal parts of different elements are decoded once and shared;
-    :meth:`text` joins a code's canonical text from texts written once per
-    distinct part.
+    ``codes`` keeps the draw order, duplicates included (an exhaustive window's
+    codes are its parts' product).  d is the dense tuple of Pruefer numerators
+    over ``M``, t the order-2 bits as a mask with the first bit highest, q the
+    free numerators over ``L`` (1 in integer free mode, so a code's parity is
+    its value's).  Distinct elements of the signature have distinct codes.
+    Two samples are equal when their signatures, ``M``, ``L`` and codes are.
+    As a read-only sequence the sample yields its elements: :meth:`element`
+    decodes a code on demand, and equal parts of different elements are
+    decoded once and shared; :meth:`text` joins a code's canonical text from
+    texts written once per distinct part.
     """
 
     signature: Optional[AmbientSignature]
     M: int
     L: int
-    codes: tuple[_Code, ...]
+    codes: Sequence[_Code]
 
     def __post_init__(self):
         sig, M, L = self.signature, self.M, self.L
@@ -304,13 +332,14 @@ class Sample(abc.Sequence):
 def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
     """The sample described by ``spec``, coded straight from it.
 
-    Exhaustive mode yields each element of the box exactly once; random mode
-    yields ``count`` uniform draws (duplicates possible), reproducible from
-    the seed with a fixed draw order (Pruefer coordinates by index, then t
-    bits, then free coordinates).  Either mode checks ``cap`` (see
-    :func:`_check_cap`) before building anything, and builds the box only
-    when free coordinates are drawn.  M is the lcm of the p**depth and L the
-    lcm of the box's denominators, so every code of the window is integral.
+    Exhaustive mode yields each element of the box once, as the product of
+    its d codes, t masks and q codes; random mode yields ``count`` uniform
+    draws (duplicates possible), reproducible from the seed with a fixed draw
+    order (Pruefer coordinates by index, then t bits, then free coordinates).
+    Either mode checks ``cap`` (see :func:`_check_cap`) before building
+    anything, and builds the box only when free coordinates are drawn.  M is
+    the lcm of the p**depth and L the lcm of the box's denominators, so every
+    code of the window is integral.
     """
     _check_cap(spec, cap)
     sig = spec.signature
@@ -323,10 +352,9 @@ def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
         return v.numerator * (L // v.denominator)
 
     if spec.mode == "exhaustive":
-        d_codes = list(product(*(range(0, M, M // n) for n in depth_orders)))
-        q_codes = list(product([q_code(v) for v in box], repeat=sig.r))
-        codes = [(d, t, q) for d in d_codes for t in range(2**sig.s) for q in q_codes]
-        return Sample(sig, M, L, tuple(codes))
+        d_codes = tuple(product(*(range(0, M, M // n) for n in depth_orders)))
+        q_codes = tuple(product([q_code(v) for v in box], repeat=sig.r))
+        return Sample(sig, M, L, _Product(d_codes, tuple(range(2**sig.s)), q_codes))
 
     rng = random.Random(spec.seed)
     steps = [(n, M // n) for n in depth_orders]
@@ -348,6 +376,27 @@ def constant_colour(a: AmbientElement):
 
 def _key_text(key) -> str:
     return colour_encode(key) if isinstance(key, Colour) else repr(key)
+
+
+def _group(items, key) -> dict:
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
+
+
+def _classes(s: Sample, d_key, q_key):
+    """How many distinct codes ``s`` has, how many classes by (d_key(d), q_key(q)), and
+    the (key, class) pairs; a product's class is built only when it is reached."""
+    if isinstance(s.codes, _Product):
+        ds, ts, qs = s.codes.parts
+        by_d, by_q = _group(ds, d_key), _group(qs, q_key)
+        classes = (((dk, qk), list(product(dm, ts, qm)))
+                   for dk, dm in by_d.items() for qk, qm in by_q.items())
+        return len(s), len(by_d) * len(by_q), classes
+    uniq = dict.fromkeys(s.codes)
+    by_key = _group(uniq, lambda code: (d_key(code[0]), q_key(code[2])))
+    return len(uniq), len(by_key), by_key.items()
 
 
 @dataclass(frozen=True)
@@ -412,22 +461,17 @@ def find_mono_triples(
     # a bucket's pairs are scanned only inside such classes.
     d_keys = cache(lambda d: tuple([v for x in d if (v := 2 * x % M)]) if use_d else None)
     y_keys = cache(lambda q: tuple([2 * x for x in q if x]) if use_y else None)
-    uniq = dict.fromkeys(s.codes)
-    buckets: dict[tuple, list[_Code]] = {}
-    for code in uniq:
-        buckets.setdefault((d_keys(code[0]), y_keys(code[2])), []).append(code)
+    h_class = (lambda a: (a[1], tuple([x & 1 for x in a[2]]))) if integer else (lambda a: a[1])
+    n, n_buckets, buckets = _classes(s, d_keys, y_keys)
 
     candidate_pairs = 0
     violations = []
     texts = cache(s.text)
-    for (d_key, y_key), members in buckets.items():
+    for (d_key, y_key), members in buckets:
         candidate_pairs += len(members) * (len(members) - 1) // 2
         classes = [members]
         if use_h and len(members) > 1:
-            by_h: dict[object, list[_Code]] = {}
-            for a in members:
-                by_h.setdefault((a[1], tuple([x & 1 for x in a[2]])) if integer else a[1], []).append(a)
-            classes = by_h.values()
+            classes = _group(members, h_class).values()
         hits = []
         for group in classes:
             for pos, a in enumerate(group):
@@ -446,12 +490,11 @@ def find_mono_triples(
             for ta, tb in ((texts(a), texts(b)) for a, b in hits):
                 violations.append((ta, tb, key_text) if ta < tb else (tb, ta, key_text))
 
-    n = len(uniq)
     return TripleReport(
         size=len(s),
         distinct=n,
         pairs=n * (n - 1) // 2,
-        n_buckets=len(buckets),
+        n_buckets=n_buckets,
         candidate_pairs=candidate_pairs,
         violations=tuple(sorted(violations)),
     )
@@ -489,22 +532,18 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
     """
     s = elements if isinstance(elements, Sample) else Sample.of(elements)
     integer = s.signature is not None and s.signature.free_mode == INTEGER
-    uniq = dict.fromkeys(s.codes)
-    cosets: dict[tuple, list[_Code]] = {}
-    for code in uniq:
-        d, t, q = code
-        halvables = cosets.setdefault((d, q), [])
-        if not t and not (integer and any(v & 1 for v in q)):
-            halvables.append(code)
-    offenders = [
-        tuple(sorted(map(s.text, halvables)))
-        for halvables in cosets.values()
-        if len(halvables) > 1
-    ]
+    n, n_cosets, cosets = _classes(s, lambda d: d, lambda q: q)
+    n_halvable = 0
+    offenders = []
+    for _, coset in cosets:
+        halvables = [c for c in coset if not c[1] and not (integer and any(v & 1 for v in c[2]))]
+        n_halvable += len(halvables)
+        if len(halvables) > 1:
+            offenders.append(tuple(sorted(map(s.text, halvables))))
     return CosetReport(
-        n_elements=len(uniq),
-        n_cosets=len(cosets),
-        n_halvable=sum(len(halvables) for halvables in cosets.values()),
+        n_elements=n,
+        n_cosets=n_cosets,
+        n_halvable=n_halvable,
         offenders=tuple(sorted(offenders)),
     )
 

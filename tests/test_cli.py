@@ -583,6 +583,30 @@ def test_non_canonical_text_is_a_usage_error(argv, message):
     assert message in result.stderr
 
 
+DIGITS = "1" * 5000
+LONG_ROWS = {
+    "wrong-length": "generators: 2\nrelations:\n" + " ".join("1" * 3000) + "\n",
+    "bad-token": "generators: 2\nrelations:\n" + " ".join("1" * 3000) + " x\n",
+}
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["colour", "--signature", "prufer=;s=0;r=1", f"d:{{}};t:;q:({DIGITS})"], "bad q entry"),
+    (["colour", "--signature", "prufer=3;s=0;r=0", f"d:{{{DIGITS}=1/3}};t:;q:()"], "bad d entry"),
+    (["colour", "--signature", "prufer=3;s=0;r=0", f"d:{{{DIGITS[:4000]}=1/3}};t:;q:()"], "Pruefer index"),
+    (["verify", "--signature", f"prufer=3;s={DIGITS}"], "bad signature value"),
+    (["analyze", "--input", "{wrong-length}"], "has length 3000, expected 2"),
+    (["verify", "--input", "{bad-token}"], "bad relation row"),
+], ids=["q-entry", "d-entry", "d-index", "signature", "row-length", "row-token"])
+def test_error_line_is_bounded(argv, field, tmp_path):
+    """A long input is cut short in the one error line, which still names the field."""
+    files = {name: write(tmp_path / f"{name}.pres", text) for name, text in LONG_ROWS.items()}
+    result, _ = run_cli([arg.format(**files) if arg.startswith("{") else arg for arg in argv])
+    assert result.returncode == EXIT_IO and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+    assert field in result.stderr and len(result.stderr.encode()) < 300
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input", "{pres}"],
     ["embed", "--input", "{pres}"],

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from fourfree.colouring import (
     Colour,
     colour,
     colour_encode,
+    is_halvable,
     reads_layers,
 )
 from fourfree.sumset import FiniteGroupSpec
@@ -327,6 +329,41 @@ class TestBruteForceOracle:
             assert report.distinct == len(set(sample))
 
 
+def _mutant(d=tuple, y=tuple):
+    """``colour`` with its d and free profiles passed through ``d`` and ``y``."""
+    return lambda a: (d(a.d_profile()), y(a.q_profile()), is_halvable(a))
+
+
+class TestMutantColourings:
+    """Wrong colourings that the brute-force oracle catches on small windows.
+
+    Each mutant reads less of a profile than ``colour`` does, and gives at
+    least one monochromatic triple on its window, where ``colour`` gives none;
+    nothing in the package is patched.  Sorting only the free profile is no
+    mutant: if 2a, 2b and a+b have equal multisets of free values, they have
+    equal sums and equal sums of squares, which over Q forces a = b.  So the
+    torsion block needs the order of its profile, and the free block only the
+    multiplicities.
+    """
+
+    R2 = SampleSpec(AmbientSignature((), 0, 2), q_numerator_bound=2)
+    MUTANTS = {
+        "sorted-d": (_mutant(d=lambda p: tuple(sorted(p))), SampleSpec(AmbientSignature((3, 3, 3), 0, 0))),
+        "set-of-free": (_mutant(y=frozenset), SampleSpec(AmbientSignature((), 0, 3), q_numerator_bound=2)),
+        "first-d": (_mutant(d=lambda p: tuple(p)[:1]), SHIPPED_SAMPLES["odd-square"]),
+        "last-d": (_mutant(d=lambda p: tuple(p)[-1:]), SHIPPED_SAMPLES["odd-square"]),
+        "first-free": (_mutant(y=lambda p: tuple(p)[:1]), R2),
+        "last-free": (_mutant(y=lambda p: tuple(p)[-1:]), R2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutant_is_caught(self, name):
+        mutant, spec = self.MUTANTS[name]
+        sample = list(enumerate_sample(spec))
+        assert brute_force_sweep(sample, colour)[0] == ()
+        assert brute_force_sweep(sample, mutant)[0]
+
+
 class TestCosetUniqueness:
     def test_pure_t_sample(self):
         sample = enumerate_sample(SHIPPED_SAMPLES["t-block"])
@@ -420,15 +457,57 @@ class TestCodedSample:
     """A Sample is coded straight from its spec; a list is coded by Sample.of.
     Both must give the same reports, and the Sample must read like the list."""
 
-    @pytest.mark.parametrize("name", sorted(set(SHIPPED_SAMPLES) - {"main-sweep"}))
+    PRODUCT_WINDOWS = {
+        **SHIPPED_SAMPLES,
+        "repeated-prime": SampleSpec(AmbientSignature((3, 3), 1, 1), prufer_depth=2,
+                                     q_numerator_bound=2, q_denominator_bound=2),
+        "integer": SampleSpec(AmbientSignature((3,), 1, 2, free_mode=INTEGER), prufer_depth=2,
+                              q_numerator_bound=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_WINDOWS))
     def test_sample_and_list_give_equal_reports(self, name):
-        sample = enumerate_sample(SHIPPED_SAMPLES[name])
-        elements = list(sample)
+        """An exhaustive window is swept as the product of its parts, a coded
+        list after dedupe and grouping; both give the same reports."""
+        sample = enumerate_sample(self.PRODUCT_WINDOWS[name])
+        coded = Sample.of(list(sample))
+        assert not isinstance(sample.codes, tuple) and isinstance(coded.codes, tuple)
+        assert sample == coded and coded == sample
         for fn_name, fn in ORACLE_COLOURINGS.items():
-            if (name, fn_name) == ("depth-two", "constant"):
-                continue  # all ~2*10^7 pairs would be violation records
-            assert find_mono_triples(sample, fn) == find_mono_triples(elements, fn), (name, fn_name)
-        assert check_coset_uniqueness(sample).describe() == check_coset_uniqueness(elements).describe()
+            if (name, fn_name) == ("depth-two", "constant") or (name == "main-sweep" and fn_name != "colour"):
+                continue  # 10^6 or more violation records
+            assert find_mono_triples(sample, fn) == find_mono_triples(coded, fn), (name, fn_name)
+        assert check_coset_uniqueness(sample) == check_coset_uniqueness(coded)
+
+    def test_product_codes_read_like_their_tuple(self):
+        codes = enumerate_sample(SHIPPED_SAMPLES["depth-two"]).codes
+        expanded = tuple(codes)
+        assert len(codes) == len(expanded) == 225 * 4 * 7
+        for i in (0, 1, 6, 7, 27, 28, 29, 1000, -1, -7, -8, -29, -len(codes)):
+            assert codes[i] == expanded[i], i
+        for part in (slice(3, 40), slice(None, None, -7), slice(-50, None, 3), slice(9, 2)):
+            assert codes[part] == expanded[part], part
+        for i in (len(codes), -len(codes) - 1):
+            with pytest.raises(IndexError):
+                codes[i]
+        assert codes == expanded and expanded == codes and hash(codes) == hash(expanded)
+        assert codes != expanded[:-1] and codes != expanded[::-1] and codes != list(expanded)
+
+    def test_product_sweep_never_holds_the_window(self):
+        """Enumerating, sweeping and taking the coset census of main-sweep's
+        44,100 elements allocates about one bucket at a time (7.9 MiB at peak
+        when the window was expanded and bucketed whole)."""
+        tracemalloc.start()
+        try:
+            sample = enumerate_sample(SHIPPED_SAMPLES["main-sweep"])
+            triple = find_mono_triples(sample)
+            coset = check_coset_uniqueness(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (triple.distinct, triple.n_buckets, triple.candidate_pairs) == (44_100, 9_675, 87_750)
+        assert triple.ok and coset.ok and coset.n_cosets == 11_025
+        assert peak < 1_000_000
 
     def test_integer_mode_codes_keep_parity(self):
         # the denominator bound is ignored in integer mode; were it folded
