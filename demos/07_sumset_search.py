@@ -9,12 +9,12 @@ against explicit witness verification.
 """
 
 from fourfree import all_colourings_forced, find_mono_pair_sumset, min_colours_avoiding
-from fourfree.sumset import FiniteGroupSpec, constant_colouring
+from fourfree.sumset import FiniteGroupSpec
 
 z4 = FiniteGroupSpec((4,))
 
 print("constant colouring of Z4 has a monochromatic pair:",
-      find_mono_pair_sumset(z4, constant_colouring(z4)))
+      find_mono_pair_sumset(z4, {e: 0 for e in z4.elements()}))
 
 res1 = all_colourings_forced(z4, 1)
 res2 = all_colourings_forced(z4, 2)

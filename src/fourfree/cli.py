@@ -413,8 +413,20 @@ def cmd_search(args) -> tuple[dict, int]:
 # -- parser ------------------------------------------------------------------
 
 
+def _cut(pattern: str, text: str) -> str:
+    """``text`` with each run matching ``pattern`` over 40 characters cut to 36."""
+    return re.sub(pattern, lambda m: m[0] if len(m[0]) <= 40 else f"{m[0][:32]}...{m[0][-1]}", text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``CliError``, cutting argv words that they echo unquoted."""
+
+    def error(self, message: str):
+        raise CliError(_cut(r"\S+", message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fourfree",
         description="Colourings of abelian groups without order-4 elements: "
         "analysis, embedding, colouring, verification sweeps, demos, searches.",
@@ -475,21 +487,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on a usage error, which would read as "order 4"
-        return EXIT_IO if exc.code else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # -h/--help; a usage error raises CliError instead
+            return EXIT_OK
         report, code = args.func(args)
         if report is not None:
             _emit(report, args.output)
     except (CliError, GroupTooLarge, PrimalityUnknown) as exc:
-        # each quoted, bracketed or numeric run over 40 characters is cut to 36 on the one line
-        text = re.sub(r"'[^']*'|\"[^\"]*\"|\([^()]*\)|[-/\d]+",
-                      lambda m: m[0] if len(m[0]) <= 40 else f"{m[0][:32]}...{m[0][-1]}", str(exc))
-        print(f"error: {text}", file=sys.stderr)
+        # each quoted, bracketed or numeric run is cut on the one line
+        print("error:", _cut(r"'[^']*'|\"[^\"]*\"|\([^()]*\)|[-/\d]+", str(exc)), file=sys.stderr)
         return getattr(exc, "code", EXIT_BUDGET)
     return code
 

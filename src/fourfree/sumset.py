@@ -4,10 +4,10 @@ Groups here are finite direct sums of cyclic groups, elements represented as
 coordinate tuples.  ``find_mono_pair_sumset`` checks one colouring table;
 ``all_colourings_forced`` decides by backtracking whether *every* c-colouring
 admits a monochromatic pair, and ``min_colours_avoiding`` finds the least c
-for which some colouring avoids them.  The search decides an element's
-forbidden colours once per depth and skips them, each still counted as a node
-tried.  Budget exhaustion is a distinct ``unknown`` verdict, never conflated
-with forced/not forced.
+for which some colouring avoids them.  The search ORs each prefix's colours
+into two masks once per depth, decides every child's forbidden colours from
+them in one step, and counts a dead child's colours as nodes tried without
+descending.  Budget exhaustion is a distinct ``unknown`` verdict.
 
 This module deliberately caps sumsets at |X| = 2 (the triple {2x, 2y, x+y}).
 Forcing monochromatic X+X for larger X is known only in astronomically large
@@ -40,7 +40,6 @@ __all__ = [
     "find_mono_pair_sumset",
     "all_colourings_forced",
     "min_colours_avoiding",
-    "constant_colouring",
 ]
 
 
@@ -80,10 +79,6 @@ class FiniteGroupSpec:
 
     def describe(self) -> dict:
         return {"orders": list(self.orders), "size": self.size}
-
-
-def constant_colouring(group: FiniteGroupSpec, colour: int = 0) -> dict[Elem, int]:
-    return {e: colour for e in group.elements()}
 
 
 def find_mono_pair_sumset(
@@ -143,25 +138,36 @@ class SearchResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per element index k (lex order), the prefix pairs (a, b) whose shared
-    colour k may not take.
+def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple[tuple, tuple[int, ...], bool], ...]:
+    """Per depth k (lex element order), the pairs (a, b) whose shared colour
+    element k+1 may not take, split as (inside: a <= b < k, partners: each
+    a < k paired with k, whether (k, k) is a pair); the last depth has none.
 
-    A forbidden triple {2x, 2y, x+y} with sorted indices (a, b, k) is
-    monochromatic exactly when k takes the colour a and b share; a triple
-    (a, k, k) gives the pair (a, a), since k may never take a's colour.
+    A forbidden triple {2x, 2y, x+y} with sorted indices (a, b, m) is
+    monochromatic exactly when m takes the colour a and b share; a triple
+    (a, m, m) gives the pair (a, a).  Elements are mixed-radix indices, with
+    one row of 2y and, per x, one row of x+y from rotated coordinate ranges.
     Cached for the last group, so the colour counts of one
     ``min_colours_avoiding`` run share one build; that run clears the cache.
     """
-    elems = group.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    pairs = [set() for _ in elems]
-    for i, x in enumerate(elems):
-        dx = index[group.double(x)]
-        for y in elems[i + 1 :]:
-            a, b, k = sorted((dx, index[group.double(y)], index[group.add(x, y)]))
-            pairs[k].add((a, a) if b == k else (a, b))
-    return tuple(tuple(sorted(p)) for p in pairs)
+    n = group.size
+    steps = [[j * math.prod(group.orders[i + 1 :]) for j in range(m)] for i, m in enumerate(group.orders)]
+    double = list(map(sum, product(*([r[2 * j % len(r)] for j in range(len(r))] for r in steps))))
+    pairs = [set() for _ in range(n + 1)]  # a * n + b, by the triple's last index m
+    for i, (x, dx) in enumerate(zip(group.elements(), double)):
+        sums = list(map(sum, product(*(r[xi:] + r[:xi] for r, xi in zip(steps, x)))))
+        for dy, m in zip(double[i + 1 :], sums[i + 1 :]):
+            a, b = (dx, dy) if dx <= dy else (dy, dx)
+            if m < b:
+                a, b, m = (a, m, b) if m >= a else (m, a, b)
+            pairs[m].add(a * n + (a if b == m else b))
+    split, idx = [], list(range(n))  # one int object per index keeps the split small
+    for k in range(n):
+        codes, pairs[k + 1] = pairs[k + 1], None  # free each depth's codes once its split is built
+        ab = [divmod(code, n) for code in sorted(codes)]
+        inside = tuple((idx[a], idx[b]) for a, b in ab if b < k)
+        split.append((inside, tuple(idx[a] for a, b in ab if a < b == k), k * n + k in codes))
+    return tuple(split)
 
 
 def all_colourings_forced(
@@ -177,9 +183,12 @@ def all_colourings_forced(
     canonicalized away (element k may only use colours 0..used+1), which is
     sound because the monochromatic condition is permutation-invariant.  The
     witness, when one exists, is the lex-least canonical avoiding colouring.
-    The colours element k may not take are worked out once, on entering
-    depth k; the search then jumps to the next allowed colour.  ``budget``
-    caps the colour assignments tried, and every colour skipped as forbidden
+    On entering depth k the search ORs the prefix's one-hot colours into two
+    masks: P_k, the colours k+1 may not take whatever k takes, and Q_k, those
+    it may not take if k takes them too.  A colour c at k then forbids
+    P_k | (Q_k & 1 << c) to k+1; when that is every colour k+1 may use, the
+    child is dead, and its colours are counted without descending.  ``budget``
+    caps the colour assignments tried, and every colour forbidden at its depth
     still counts as one tried; exceeding it yields verdict ``unknown``.
     """
     if colours < 1:
@@ -190,42 +199,50 @@ def all_colourings_forced(
         raise ValueError("cap must be >= 0")
     if group.size > cap:
         raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
-    pairs = _pair_constraints(group)
-    n = len(pairs)
-    assignment = [0] * n
-    used = [0] * (n + 1)  # distinct colours among assignment[:k]
-    forbidden = [0] * n  # bitmask of the colours k may not take, given assignment[:k]
-    nodes = 0
-    k = t = 0  # depth, and the first colour not yet tried there
+    split = _pair_constraints(group)
+    n = len(split)
+    width = [min(u + 1, colours) for u in range(min(colours, n) + 1)]  # colours open with u in use
+    full = [(1 << w) - 1 for w in width]  # full[-1]: every colour a depth may take
+    bit = [0] * n  # one-hot colour of each assigned element
+    state = [None] * n  # per depth: colours in use, colours forbidden, P_k, Q_k
+    nodes = k = t = u = g = 0  # depth k, its next colour to try, its colours in use and forbidden
     while True:
-        u = used[k]
-        limit = u + 1 if u < colours else colours
-        f = forbidden[k]
+        if t == 0:  # a new prefix: work out P_k and Q_k once
+            if k == n:
+                witness = tuple(x.bit_length() - 1 for x in bit)
+                return SearchResult(group, colours, "not_forced", witness, nodes)
+            inside, partners, self_pair = split[k]
+            p = 0
+            for a, b in inside:
+                p |= bit[a] & bit[b]
+            q = full[-1] if self_pair else 0
+            for a in partners:
+                q |= bit[a]
+            state[k] = u, g, p, q
+        u, f, p, q = state[k]
+        limit = width[u]
         c = t
-        while c < limit and f >> c & 1:
+        while c < limit:
+            nodes += 1
+            b = 1 << c
+            if not f & b:
+                v = u + (c == u)
+                g = p | q & b
+                if g & full[v] != full[v]:
+                    break
+                nodes += width[v]  # a dead child: every colour it may use is forbidden
             c += 1
-        # colours t..c-1 are forbidden and c, if below limit, is assigned:
-        # every one of them counts as a node
-        nodes += c - t + (c < limit)
         if nodes > budget:
             return SearchResult(group, colours, "unknown", None, budget)
         if c == limit:
             if k == 0:
                 break
             k -= 1
-            t = assignment[k] + 1
+            t = bit[k].bit_length()
             continue
-        assignment[k] = c
-        if k == n - 1:
-            return SearchResult(group, colours, "not_forced", tuple(assignment), nodes)
+        bit[k] = b
         k += 1
-        used[k] = u + (c == u)
-        f = 0
-        for a, b in pairs[k]:
-            if assignment[a] == assignment[b]:
-                f |= 1 << assignment[a]
-        forbidden[k] = f
-        t = 0
+        u, t = v, 0
     return SearchResult(group, colours, "forced", None, nodes)
 
 

@@ -607,6 +607,27 @@ def test_error_line_is_bounded(argv, field, tmp_path):
     assert field in result.stderr and len(result.stderr.encode()) < 300
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--prufer-depth", DIGITS], "--prufer-depth"),
+    (["search", "--budget", DIGITS + "x"], "--budget"),
+    (["verify", "--mode", "x" * 5000], "--mode"),
+    (["demo", "--group", "4", "--" + "x" * 5000], "unrecognized arguments"),
+], ids=["int-flag", "bad-int", "bad-choice", "unknown-flag"])
+def test_usage_error_line_is_bounded(argv, flag):
+    """argparse's usage errors go through the same cut error line."""
+    result, _ = run_cli(argv)
+    assert result.returncode == EXIT_IO and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+    assert flag in result.stderr and len(result.stderr.encode()) < 1024
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["search", "--help"]], ids=["top", "search"])
+def test_help_exits_ok(argv):
+    result, _ = run_cli(argv)
+    assert result.returncode == EXIT_OK and result.stderr == ""
+    assert result.stdout.startswith("usage: fourfree")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input", "{pres}"],
     ["embed", "--input", "{pres}"],

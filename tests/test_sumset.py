@@ -12,7 +12,6 @@ from fourfree.sumset import (
     FiniteGroupSpec,
     GroupTooLarge,
     all_colourings_forced,
-    constant_colouring,
     find_mono_pair_sumset,
     min_colours_avoiding,
 )
@@ -81,6 +80,20 @@ def reference_forced(group, colours, budget):
     return "forced", None, nodes
 
 
+def reference_pairs(group):
+    """Oracle for the split: per element index k, the pairs (a, b) whose shared
+    colour k may not take, built from tuple arithmetic and an index dict."""
+    elems = group.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    pairs = [set() for _ in elems]
+    for i, x in enumerate(elems):
+        dx = index[group.double(x)]
+        for y in elems[i + 1 :]:
+            a, b, k = sorted((dx, index[group.double(y)], index[group.add(x, y)]))
+            pairs[k].add((a, a) if b == k else (a, b))
+    return pairs
+
+
 def reference_min_colours(group, budget):
     """Oracle for ``min_colours_avoiding``: (verdict, count, witness, nodes)."""
     nodes = 0
@@ -146,6 +159,42 @@ class TestAgainstPerAttemptOracle:
             assert (res.verdict, res.witness, res.nodes) == reference_forced(group, colours, budget)
 
 
+class TestPrefixMasks:
+    """The search reads each depth's pairs as a split and counts dead children
+    without descending; both must reproduce the per-attempt oracle exactly."""
+
+    @pytest.mark.parametrize("orders", [(4, 4), (3, 3), (2, 2, 2)], ids=str)
+    @pytest.mark.parametrize("colours", [2, 3])
+    def test_every_small_budget_matches_oracle(self, orders, colours):
+        # budgets that run out inside a dead child's colours included
+        group = FiniteGroupSpec(orders)
+        for budget in range(401):
+            res = all_colourings_forced(group, colours, budget=budget)
+            assert (res.verdict, res.witness, res.nodes) == reference_forced(
+                group, colours, budget
+            ), budget
+
+    @pytest.mark.parametrize("orders", ORACLE_SHAPES, ids=str)
+    def test_split_reassembles_the_pair_sets(self, orders):
+        group = FiniteGroupSpec(orders)
+        split = sumset._pair_constraints(group)
+        assert len(split) == group.size
+        rebuilt = [set()] + [
+            set(inside) | {(a, k) for a in partners} | ({(k, k)} if self_pair else set())
+            for k, (inside, partners, self_pair) in enumerate(split)
+        ]
+        assert rebuilt[-1] == set()  # the last element has no successor to constrain
+        assert rebuilt[:-1] == [set(p) for p in reference_pairs(group)]
+
+    def test_colour_count_beyond_the_group_is_prompt(self):
+        # the search sizes its tables by the colours a depth can reach, never by the count asked for
+        group = FiniteGroupSpec((4, 4))
+        res = all_colourings_forced(group, 10**12)
+        assert (res.verdict, res.witness, res.nodes) == reference_forced(group, 10**12, 10**6)
+        same = all_colourings_forced(group, group.size)
+        assert (res.verdict, res.witness, res.nodes) == (same.verdict, same.witness, same.nodes)
+
+
 class TestFiniteGroupSpec:
     def test_size_and_elements(self):
         assert Z4.size == 4 and Z2Z2.size == 4
@@ -165,7 +214,7 @@ class TestFiniteGroupSpec:
 
 class TestFindMonoPairSumset:
     def test_constant_colouring_always_finds(self):
-        assert find_mono_pair_sumset(Z4, constant_colouring(Z4)) is not None
+        assert find_mono_pair_sumset(Z4, {e: 0 for e in Z4.elements()}) is not None
 
     def test_documented_avoiding_z4_colouring(self):
         # every triple {2x, 2y, x+y} meets both 0 and 2 or is non-constant
