@@ -496,8 +496,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if report is not None:
             _emit(report, args.output)
     except (CliError, GroupTooLarge, PrimalityUnknown) as exc:
-        # each quoted, bracketed or numeric run is cut on the one line
-        print("error:", _cut(r"'[^']*'|\"[^\"]*\"|\([^()]*\)|[-/\d]+", str(exc)), file=sys.stderr)
+        # quoted, bracketed and numeric runs are cut, but not argparse's list of choices
+        print("error:", _cut(r"'[^']*'|\"[^\"]*\"|\((?!choose)[^()]*\)|[-/\d]+", str(exc)), file=sys.stderr)
         return getattr(exc, "code", EXIT_BUDGET)
     return code
 

@@ -15,22 +15,22 @@ depends only on the set of elements swept.  Results are plain values with
 no timing, so two sweeps compare with ``==``; the CLI adds the window and
 the elapsed time when it writes a report.
 
-A window is held as integer codes.  A Pruefer coordinate is its numerator
-over M, the lcm of the window's Pruefer denominators, and is added and
+A window is held as integer codes (d, t, q).  A Pruefer coordinate is its
+numerator over M, the lcm of the window's Pruefer denominators, added and
 doubled mod M; a free coordinate is its numerator over L, the lcm of the free
-denominators; the order-2 block is a bitmask.  Because each block shares one
-denominator, the tuple of nonzero numerators of a block determines its
-profile exactly, halvability is t == 0 (and, in integer free mode, every free
-code even), and bucketing, the pair scan and the coset census run on ints and
-tuples only.  :func:`enumerate_sample` codes random draws straight from the
-:class:`SampleSpec`, and an exhaustive window as the unexpanded product of its
-parts, swept one bucket at a time (see :func:`_classes`); a list of elements
-is coded by :meth:`Sample.of`.  An :class:`~fourfree.ambient.AmbientElement`
-is built only for the double whose colour names a violating bucket;
-:meth:`Sample.text` writes the elements of a violating pair or offending coset
-from per-part caches of strings.  A colouring states which layers it reads with
-:func:`~fourfree.colouring.reads_layers`; the sweep compares exactly those
-layers, and calls the colouring itself only for that colour text.
+denominators; the order-2 block is a bitmask.  Each block shares one
+denominator, so the tuple of nonzero numerators of a block is its profile,
+and halvability is t == 0 (and, in integer free mode, every free code even).
+The d and y layers of 2a and of a+b read only the d and q parts of a and b,
+so a bucket is a list of cosets (d, q, ts) of the order-2 block, and the scan
+decides each pair of cosets once (see :func:`find_mono_triples`).  Random
+draws are coded straight from the :class:`SampleSpec`, an exhaustive window
+as the unexpanded product of its parts, a list by :meth:`Sample.of`.  An
+:class:`~fourfree.ambient.AmbientElement` is built only for the double whose
+colour names a violating bucket, and only that colour text calls the
+colouring, which declares the layers the sweep compares with
+:func:`~fourfree.colouring.reads_layers`; :meth:`Sample.text` writes element
+text from per-part caches of strings.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from collections import abc
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 from .ambient import (
@@ -374,10 +374,6 @@ def constant_colour(a: AmbientElement):
     return 0
 
 
-def _key_text(key) -> str:
-    return colour_encode(key) if isinstance(key, Colour) else repr(key)
-
-
 def _group(items, key) -> dict:
     groups: dict = {}
     for item in items:
@@ -386,16 +382,19 @@ def _group(items, key) -> dict:
 
 
 def _classes(s: Sample, d_key, q_key):
-    """How many distinct codes ``s`` has, how many classes by (d_key(d), q_key(q)), and
-    the (key, class) pairs; a product's class is built only when it is reached."""
+    """How many distinct codes ``s`` has, how many buckets by (d_key(d), q_key(q)), and the
+    (key, bucket) pairs.  A bucket lists cosets (d, q, ts), ts the t masks of the codes with
+    parts d and q; a product's buckets are built one at a time and share its ts."""
     if isinstance(s.codes, _Product):
         ds, ts, qs = s.codes.parts
         by_d, by_q = _group(ds, d_key), _group(qs, q_key)
-        classes = (((dk, qk), list(product(dm, ts, qm)))
+        buckets = (((dk, qk), [(d, q, ts) for d in dm for q in qm])
                    for dk, dm in by_d.items() for qk, qm in by_q.items())
-        return len(s), len(by_d) * len(by_q), classes
+        return len(s), len(by_d) * len(by_q), buckets
     uniq = dict.fromkeys(s.codes)
-    by_key = _group(uniq, lambda code: (d_key(code[0]), q_key(code[2])))
+    cosets = _group(uniq, lambda code: (code[0], code[2]))
+    by_key = _group([(d, q, [t for _, t, _ in codes]) for (d, q), codes in cosets.items()],
+                    lambda coset: (d_key(coset[0]), q_key(coset[1])))
     return len(uniq), len(by_key), by_key.items()
 
 
@@ -434,13 +433,16 @@ def find_mono_triples(
 ) -> TripleReport:
     """Check every unordered pair a != b for colour(2a) = colour(2b) = colour(a+b).
 
-    Duplicate elements in the input are collapsed first (the pair condition
-    is element-level).  Elements are bucketed by the layers of their double
-    that ``colour_fn`` declares (see :func:`~fourfree.colouring.reads_layers`;
-    an undeclared callable raises ``TypeError``); only pairs within a bucket
-    can violate, and for those the layers of a+b are compared against the
-    bucket's.  ``elements`` is a :class:`Sample` or a list, which is coded
-    with :meth:`Sample.of`.
+    Duplicate elements are collapsed first.  Elements are bucketed by the
+    layers of their double that ``colour_fn`` declares (see
+    :func:`~fourfree.colouring.reads_layers`; an undeclared callable raises
+    ``TypeError``), and each pair of cosets in a bucket (see :func:`_classes`)
+    is decided once.  Members of one coset share d and q, so a+b has the d and
+    q parts of 2a; only h separates them, as a+b has t mask ta ^ tb != 0 and is
+    not halvable.  Two cosets get the d and y arithmetic once; a+b is halvable
+    exactly when ta ^ tb = 0 and, in integer mode, its free codes are even, so
+    with h read only equal t masks of cosets of equal free parity can match.
+    ``elements`` is a :class:`Sample` or a list, coded with :meth:`Sample.of`.
     """
     layers = getattr(colour_fn, "layers", None)
     if layers is None:
@@ -453,50 +455,48 @@ def find_mono_triples(
     integer = s.signature is not None and s.signature.free_mode == INTEGER
     use_d, use_y, use_h = "d" in layers, "y" in layers, "h" in layers
 
-    # Keys hold the d and y layers of 2a, None where unread; they depend on
-    # the d and q parts alone, so each distinct part is keyed once.  Every
-    # double has t = 0 and even free codes, so it is halvable and h never
-    # splits a bucket.  With h read, a + b matches its bucket only if it is
-    # halvable: equal t and, in integer mode, free codes of equal parity, so
-    # a bucket's pairs are scanned only inside such classes.
+    # Keys hold the d and y layers of 2a, None where unread, keyed once per
+    # distinct part; every double has t = 0 and even free codes, so it is
+    # halvable and h never splits a bucket.
     d_keys = cache(lambda d: tuple([v for x in d if (v := 2 * x % M)]) if use_d else None)
     y_keys = cache(lambda q: tuple([2 * x for x in q if x]) if use_y else None)
-    h_class = (lambda a: (a[1], tuple([x & 1 for x in a[2]]))) if integer else (lambda a: a[1])
     n, n_buckets, buckets = _classes(s, d_keys, y_keys)
 
     candidate_pairs = 0
     violations = []
-    texts = cache(s.text)
-    for (d_key, y_key), members in buckets:
-        candidate_pairs += len(members) * (len(members) - 1) // 2
-        classes = [members]
-        if use_h and len(members) > 1:
-            classes = _group(members, h_class).values()
-        hits = []
-        for group in classes:
-            for pos, a in enumerate(group):
-                da, _, qa = a
-                for b in group[pos + 1 :]:
-                    db, _, qb = b
-                    if use_y and tuple([v for x, y in zip(qa, qb) if (v := x + y)]) != y_key:
-                        continue
-                    if use_d and tuple([v for x, y in zip(da, db) if (v := (x + y) % M)]) != d_key:
-                        continue
-                    hits.append((a, b))
+    for (d_key, y_key), cosets in buckets:
+        size = sum([len(ts) for _, _, ts in cosets])
+        candidate_pairs += size * (size - 1) // 2
+        hits = [(i, i) for i, (_, _, ts) in enumerate(cosets) if not use_h and len(ts) > 1]
+        for i, (da, qa, _) in enumerate(cosets):
+            for j, (db, qb, _) in enumerate(cosets[i + 1 :], i + 1):
+                if use_y and tuple([v for x, y in zip(qa, qb) if (v := x + y)]) != y_key:
+                    continue
+                if use_d and tuple([v for x, y in zip(da, db) if (v := (x + y) % M)]) != d_key:
+                    continue
+                if not (use_h and integer and any([(x + y) & 1 for x, y in zip(qa, qb)])):
+                    hits.append((i, j))
         if hits:
-            d, _, q = members[0]
+            d, q, _ = cosets[0]
             double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
-            key_text = _key_text(colour_fn(s.element(double)))
-            for ta, tb in ((texts(a), texts(b)) for a, b in hits):
-                violations.append((ta, tb, key_text) if ta < tb else (tb, ta, key_text))
+            key = colour_fn(s.element(double))
+            key_text = colour_encode(key) if isinstance(key, Colour) else repr(key)
+            texts = [{t: s.text((d, t, q)) for t in ts} for d, q, ts in cosets]
+            for a, b in ((texts[i], texts[j]) for i, j in hits):
+                if a is b:
+                    pairs = combinations(a.values(), 2)
+                else:
+                    pairs = [(a[t], b[t]) for t in a if t in b] if use_h else product(a.values(), b.values())
+                violations += [(x, y, key_text) if x < y else (y, x, key_text) for x, y in pairs]
 
+    violations.sort()
     return TripleReport(
         size=len(s),
         distinct=n,
         pairs=n * (n - 1) // 2,
         n_buckets=n_buckets,
         candidate_pairs=candidate_pairs,
-        violations=tuple(sorted(violations)),
+        violations=tuple(violations),
     )
 
 
@@ -532,11 +532,11 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
     """
     s = elements if isinstance(elements, Sample) else Sample.of(elements)
     integer = s.signature is not None and s.signature.free_mode == INTEGER
-    n, n_cosets, cosets = _classes(s, lambda d: d, lambda q: q)
+    n, n_cosets, buckets = _classes(s, lambda d: d, lambda q: q)
     n_halvable = 0
     offenders = []
-    for _, coset in cosets:
-        halvables = [c for c in coset if not c[1] and not (integer and any(v & 1 for v in c[2]))]
+    for _, [(d, q, ts)] in buckets:
+        halvables = [(d, t, q) for t in ts if not t and not (integer and any(v & 1 for v in q))]
         n_halvable += len(halvables)
         if len(halvables) > 1:
             offenders.append(tuple(sorted(map(s.text, halvables))))

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -619,6 +620,20 @@ def test_usage_error_line_is_bounded(argv, flag):
     assert result.returncode == EXIT_IO and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
     assert flag in result.stderr and len(result.stderr.encode()) < 1024
+
+
+@pytest.mark.parametrize("word", ["bogus", "x" * 5000], ids=["short", "5000-chars"])
+def test_invalid_subcommand_lists_every_choice(word):
+    """argparse's list of valid choices stays whole on the cut error line;
+    the user's own word is cut."""
+    result, _ = run_cli([word])
+    assert result.returncode == EXIT_IO and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+    assert len(result.stderr.encode()) < 300
+    listed = re.search(r"\(choose from (.*)\)$", result.stderr.strip())[1]
+    assert [name.strip("' ") for name in listed.split(",")] == [
+        "analyze", "embed", "colour", "verify", "demo", "search"
+    ]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["search", "--help"]], ids=["top", "search"])

@@ -296,6 +296,23 @@ def _random_with_duplicates():
     return sample
 
 
+def _integer_random_partial_cosets():
+    """Integer-mode draws with s = 2: cosets that hold only some t masks, free
+    codes of both parities in one bucket, and duplicates."""
+    spec = SampleSpec(
+        AmbientSignature((3,), 2, 2, free_mode=INTEGER), q_numerator_bound=2, mode="random",
+        count=160, seed=7,
+    )
+    sample = enumerate_sample(spec)
+    cosets: dict = {}
+    for d, t, q in sample.codes:
+        cosets.setdefault((d, q), set()).add(t)
+    assert len(set(sample.codes)) < len(sample)
+    assert any(len(ts) == 1 for ts in cosets.values()) and any(len(ts) > 1 for ts in cosets.values())
+    assert len({tuple(v & 1 for v in q) for _, q in cosets}) == 4
+    return sample
+
+
 ORACLE_COLOURINGS = {
     "colour": colour,
     "constant": constant_colour,
@@ -309,6 +326,8 @@ ORACLE_SAMPLES = {
     **{name: spec for name, spec in SHIPPED_SAMPLES.items() if name != "main-sweep"},
     "random-duplicates": _random_with_duplicates,
     "mixed-depths": _mixed_depth_elements,
+    "integer-random": _integer_random_partial_cosets,
+    "repeated-prime": SampleSpec(AmbientSignature((3, 3), 1, 1), prufer_depth=2),
     "empty": list,
 }
 
@@ -384,6 +403,25 @@ class TestCosetUniqueness:
         sample = [element(sig, t=(b,), q=(v,)) for b in (0, 1) for v in (-3, -1, 1, 3)]
         report = check_coset_uniqueness(sample)
         assert report.ok and report.n_halvable == 0
+
+    def test_partial_cosets(self):
+        """A list holding only some t masks of a coset: a coset without t = 0,
+        or with an odd free code, has no halvable element; duplicates count once."""
+        sig = AmbientSignature((3,), 2, 1, free_mode=INTEGER)
+        sample = [
+            element(sig, d={0: Fraction(d, 3)}, t=t, q=(v,))
+            for d, t, v in [
+                (0, (0, 0), 2), (0, (0, 1), 2), (0, (0, 0), 2),  # t = 0 and a duplicate
+                (1, (1, 0), 2), (1, (1, 1), 2),  # no t = 0
+                (1, (0, 0), 1), (1, (0, 1), 1),  # odd free code
+                (2, (0, 0), 0),  # t = 0 alone
+            ]
+        ]
+        report = check_coset_uniqueness(sample)
+        assert report.ok
+        assert (report.n_elements, report.n_cosets, report.n_halvable) == (7, 4, 2)
+        assert report.n_halvable == len({a for a in sample if is_halvable(a)})
+        assert report == check_coset_uniqueness(Sample.of(sample[::-1]))
 
     def test_every_shipped_sample(self):
         for name, spec in SHIPPED_SAMPLES.items():
@@ -508,6 +546,21 @@ class TestCodedSample:
         assert (triple.distinct, triple.n_buckets, triple.candidate_pairs) == (44_100, 9_675, 87_750)
         assert triple.ok and coset.ok and coset.n_cosets == 11_025
         assert peak < 1_000_000
+
+    def test_violation_sweep_holds_one_bucket_of_texts(self):
+        """Under drop-halvable, main-sweep's 66,150 violation records are the
+        report itself; the sweep allocates little beyond them, since element
+        texts are written per bucket (8.2 MB more when they were cached
+        across the whole window)."""
+        sample = enumerate_sample(SHIPPED_SAMPLES["main-sweep"])
+        tracemalloc.start()
+        try:
+            report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["halvable"])
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.violations) == 66_150
+        assert peak - retained < 2_000_000
 
     def test_integer_mode_codes_keep_parity(self):
         # the denominator bound is ignored in integer mode; were it folded
