@@ -7,29 +7,32 @@ under which no distinct a, b make {2a, 2b, a+b} monochromatic, exhaustive
 finite verification of that property, and finite search on the order-4 side
 of the contrast.
 
-The package re-exports the names the demos and the README use; everything
-else is imported from its submodule.
+The package re-exports the names the demos and the README use, importing
+each one's submodule on first access; everything else is imported from its
+submodule.
 """
 
-from .ambient import AmbientSignature, element, zero
-from .colouring import colour, colour_encode
-from .embedding import build_embedding, embed
-from .presentation import (
-    Presentation,
-    adjoin_divisor,
-    canonical_decomposition,
-    element_order_in,
-    has_order_four,
-    smith_normal_form,
-)
-from .sumset import all_colourings_forced, find_mono_pair_sumset, min_colours_avoiding
-from .verifier import (
-    SHIPPED_SAMPLES,
-    check_coset_uniqueness,
-    enumerate_sample,
-    find_mono_triples,
-    find_order4_witness,
-    order4_obstruction_demo,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "ambient": ("AmbientSignature", "element", "zero"),
+    "colouring": ("colour", "colour_encode"),
+    "embedding": ("build_embedding", "embed"),
+    "presentation": ("Presentation", "adjoin_divisor", "canonical_decomposition",
+                     "element_order_in", "has_order_four", "smith_normal_form"),
+    "sumset": ("all_colourings_forced", "find_mono_pair_sumset", "min_colours_avoiding"),
+    "verifier": ("SHIPPED_SAMPLES", "check_coset_uniqueness", "enumerate_sample",
+                 "find_mono_triples", "find_order4_witness", "order4_obstruction_demo"),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name: str):
+    """Import a re-exported name's submodule on first access (PEP 562)."""
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,10 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .arith import is_odd_prime
-
-RATIONAL = "rational"
-INTEGER = "integer"
+from .arith import INTEGER, RATIONAL, is_odd_prime
 
 Rat = Union[int, Fraction]
 

@@ -1,9 +1,16 @@
-"""Small exact integer helpers shared across the package."""
+"""Small exact integer helpers shared across the package, and the constants the
+CLI parser needs, which live in this leaf module so that building it loads no layer."""
 
 from __future__ import annotations
 
 from typing import Optional
 
+RATIONAL = "rational"
+INTEGER = "integer"
+DEFAULT_SAMPLE_CAP = 100_000
+DEFAULT_GROUP_CAP = 4096
+DEFAULT_BUDGET = 1_000_000
+DROPPED_LAYERS = ("d", "y", "halvable")  # keys of colouring.DROPPED_LAYER_COLOURINGS
 
 # Miller-Rabin with the first t primes as bases decides primality of every n
 # below psi_t, the least strong pseudoprime to all of them: _MR_PSI[t - 1] is

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -47,48 +48,52 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .ambient import (
-    INTEGER,
-    RATIONAL,
-    AmbientElement,
-    AmbientSignature,
-    ElementParseError,
-)
-from .arith import PrimalityUnknown, size_text
-from .colouring import DROPPED_LAYER_COLOURINGS, colour, colour_encode
-from .embedding import build_embedding
-from .presentation import (
-    Presentation,
-    canonical_decomposition,
-    has_order_four,
-    smith_normal_form,
-)
-from .sumset import (
+from .arith import (
     DEFAULT_BUDGET,
     DEFAULT_GROUP_CAP,
-    FiniteGroupSpec,
-    GroupTooLarge,
-    all_colourings_forced,
-    min_colours_avoiding,
-)
-from .verifier import (
     DEFAULT_SAMPLE_CAP,
-    SHIPPED_SAMPLES,
-    SampleCapExceeded,
-    SampleSpec,
-    check_coset_uniqueness,
-    enumerate_sample,
-    find_mono_triples,
-    order4_obstruction_demo,
+    DROPPED_LAYERS,
+    INTEGER,
+    RATIONAL,
+    PrimalityUnknown,
+    size_text,
 )
+
+# The names this module calls in each layer.  They are bound as module globals
+# by _load when a subcommand first runs, so each call loads only the layers it
+# uses, and by __getattr__ when read from outside first (bench/traced.py wraps
+# them); binding never replaces a name already bound, so such a wrapper stays.
+_LAYER_NAMES = {
+    "ambient": ("AmbientElement", "AmbientSignature", "ElementParseError"),
+    "colouring": ("DROPPED_LAYER_COLOURINGS", "colour", "colour_encode"),
+    "embedding": ("build_embedding",),
+    "presentation": ("Presentation", "canonical_decomposition", "has_order_four", "smith_normal_form"),
+    "sumset": ("FiniteGroupSpec", "GroupTooLarge", "all_colourings_forced", "min_colours_avoiding"),
+    "verifier": ("SHIPPED_SAMPLES", "SampleCapExceeded", "SampleSpec", "check_coset_uniqueness",
+                 "enumerate_sample", "find_mono_triples", "order4_obstruction_demo"),
+}
+
+
+def _load(*layers: str) -> None:
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_ORDER_FOUR = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-DEFAULT_SIGNATURE = SHIPPED_SAMPLES["demo-default"].signature
 
 # Most generators plus relations a presentation may have, checked before SNF
 # runs: SNF works on an (m + n)-square bordered matrix, so its memory grows
@@ -107,6 +112,7 @@ class CliError(Exception):
 
 def parse_presentation_text(text: str, source: str = "<input>") -> Presentation:
     """Parse the generators/relations file format with line diagnostics."""
+    _load("presentation")
     n_generators = None
     relations = []
     in_relations = False
@@ -154,6 +160,7 @@ def load_presentation(path: str) -> Presentation:
 
 def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignature:
     """Parse ``prufer=3,5;s=2;r=1`` into a signature; each field at most once."""
+    _load("ambient")
     prufer: tuple[int, ...] = ()
     s = 0
     r = 0
@@ -277,12 +284,14 @@ def cmd_embed(args) -> tuple[dict, int]:
     if analysis["has_order_four"]:
         report["error"] = "group contains an element of order 4; cannot embed"
         return report, EXIT_ORDER_FOUR
+    _load("embedding")
     emap = build_embedding(canonical_decomposition(pres), args.free_mode)
     report["embedding"] = emap.describe()
     return report, EXIT_OK
 
 
 def cmd_colour(args) -> tuple[Optional[dict], int]:
+    _load("ambient", "colouring")
     sig = parse_signature_text(args.signature, args.free_mode)
     texts = list(args.elements)
     if args.input:
@@ -309,6 +318,9 @@ def cmd_colour(args) -> tuple[Optional[dict], int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    # verifier, the largest module, is compiled first, while the heap is freshest:
+    # where bytecode is not cached its compile sets the call's peak RSS
+    _load("verifier", "colouring")
     config = _config(args)
     report: dict = {"config": config}
 
@@ -319,11 +331,12 @@ def cmd_verify(args) -> tuple[dict, int]:
         if analysis["has_order_four"]:
             report["error"] = "hypothesis violated: group contains an element of order 4"
             return report, EXIT_ORDER_FOUR
+        _load("embedding")
         sig = build_embedding(canonical_decomposition(pres), args.free_mode).signature
     elif args.signature:
         sig = parse_signature_text(args.signature, args.free_mode)
     else:
-        sig = dataclasses.replace(DEFAULT_SIGNATURE, free_mode=args.free_mode)
+        sig = dataclasses.replace(SHIPPED_SAMPLES["demo-default"].signature, free_mode=args.free_mode)
     config["resolved_signature"] = sig.describe()
 
     try:
@@ -361,6 +374,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_demo(args) -> tuple[Optional[dict], int]:
+    _load("verifier")
     group = _parse_group(args.group)
     if group.size > DEFAULT_GROUP_CAP:
         raise CliError(f"group size {size_text(group.size)} exceeds cap {DEFAULT_GROUP_CAP}", EXIT_BUDGET)
@@ -373,6 +387,7 @@ def cmd_demo(args) -> tuple[Optional[dict], int]:
 
 
 def _parse_group(text: str) -> FiniteGroupSpec:
+    _load("sumset")
     try:
         orders = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
@@ -394,8 +409,8 @@ def cmd_search(args) -> tuple[dict, int]:
             res, elapsed = _timed(min_colours_avoiding, group, budget=args.budget, cap=args.cap)
         else:
             res, elapsed = _timed(all_colourings_forced, group, args.colours, args.budget, args.cap)
-    except GroupTooLarge:
-        raise  # a cap, not a bad flag: main maps it to exit 3
+    except GroupTooLarge as exc:  # a cap, not a bad flag
+        raise CliError(str(exc), EXIT_BUDGET)
     except ValueError as exc:
         raise CliError(str(exc))
     result = {**res.describe(), "elapsed_s": elapsed}
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000, help="random-mode sample size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_SAMPLE_CAP)
-    p.add_argument("--drop-layer", choices=sorted(DROPPED_LAYER_COLOURINGS), default=None,
+    p.add_argument("--drop-layer", choices=sorted(DROPPED_LAYERS), default=None,
                    help="diagnostic: drop one colour layer")
     p.add_argument("--output", help="write JSON report here")
     p.set_defaults(func=cmd_verify)
@@ -495,9 +510,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, code = args.func(args)
         if report is not None:
             _emit(report, args.output)
-    except (CliError, GroupTooLarge, PrimalityUnknown) as exc:
-        # quoted, bracketed and numeric runs are cut, but not argparse's list of choices
-        print("error:", _cut(r"'[^']*'|\"[^\"]*\"|\((?!choose)[^()]*\)|[-/\d]+", str(exc)), file=sys.stderr)
+    except (CliError, PrimalityUnknown) as exc:
+        # quoted, bracketed and numeric runs are cut, but not argparse's list of
+        # choices; then the whole line, which many short argv words can still make long
+        text = _cut(r"'[^']*'|\"[^\"]*\"|\((?!choose)[^()]*\)|[-/\d]+", str(exc))
+        print("error:", text if len(text) <= 400 else f"{text[:396]}...", file=sys.stderr)
         return getattr(exc, "code", EXIT_BUDGET)
     return code
 

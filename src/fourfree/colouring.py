@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ambient import INTEGER, AmbientElement, Profile, element
+from .arith import DROPPED_LAYERS
 
 __all__ = [
     "Colour",
@@ -156,8 +157,4 @@ def colour_drop_halvable(a: AmbientElement):
     return ("d+y", a.d_profile(), a.q_profile())
 
 
-DROPPED_LAYER_COLOURINGS = {
-    "d": colour_drop_d,
-    "y": colour_drop_y,
-    "halvable": colour_drop_halvable,
-}
+DROPPED_LAYER_COLOURINGS = dict(zip(DROPPED_LAYERS, (colour_drop_d, colour_drop_y, colour_drop_halvable)))

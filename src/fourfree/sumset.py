@@ -23,10 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .arith import size_text
-
-DEFAULT_GROUP_CAP = 4096
-DEFAULT_BUDGET = 1_000_000
+from .arith import DEFAULT_BUDGET, DEFAULT_GROUP_CAP, size_text
 
 Elem = tuple[int, ...]
 

@@ -50,11 +50,9 @@ from .ambient import (
     AmbientSignature,
     SignatureMismatch,
 )
-from .arith import size_text
+from .arith import DEFAULT_SAMPLE_CAP, size_text
 from .colouring import Colour, colour, colour_encode, reads_layers
 from .sumset import Elem, FiniteGroupSpec
-
-DEFAULT_SAMPLE_CAP = 100_000
 
 __all__ = [
     "DEFAULT_SAMPLE_CAP",

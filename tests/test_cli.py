@@ -613,7 +613,8 @@ def test_error_line_is_bounded(argv, field, tmp_path):
     (["search", "--budget", DIGITS + "x"], "--budget"),
     (["verify", "--mode", "x" * 5000], "--mode"),
     (["demo", "--group", "4", "--" + "x" * 5000], "unrecognized arguments"),
-], ids=["int-flag", "bad-int", "bad-choice", "unknown-flag"])
+    (["demo", *["x"] * 3000], "unrecognized arguments: x x x"),
+], ids=["int-flag", "bad-int", "bad-choice", "unknown-flag", "many-words"])
 def test_usage_error_line_is_bounded(argv, flag):
     """argparse's usage errors go through the same cut error line."""
     result, _ = run_cli(argv)
@@ -694,3 +695,63 @@ def test_only_the_cli_reads_the_clock():
             if any(m == "time" or (m or "").startswith("time.") for m in modules):
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def run_in_fresh_interpreter(script, *args):
+    """stdout of ``script`` run by a new interpreter, which has loaded nothing yet."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+LOADED_MODULES = """
+import contextlib, io, sys
+from fourfree import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "fourfree"))
+"""
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["analyze", "--input", "{pres}"], ["presentation"]),
+    (["embed", "--input", "{pres}"], ["ambient", "embedding", "presentation"]),
+    (["search", "--group", "4", "--min-colours"], ["sumset"]),
+    (["verify", "--signature", "prufer=3;s=1;r=1"], ["ambient", "colouring", "sumset", "verifier"]),
+    (["colour", "d:{};t:00;q:(0)"], ["ambient", "colouring"]),
+], ids=["analyze", "embed", "search", "verify-signature", "colour"])
+def test_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    pres = write(tmp_path / "z2z6.pres", Z2_Z6_FILE)
+    out = run_in_fresh_interpreter(LOADED_MODULES, *[arg.replace("{pres}", pres) for arg in argv])
+    loaded = ["fourfree", *(f"fourfree.{m}" for m in sorted(["arith", "cli", *layers]))]
+    assert out.split() == [str(EXIT_OK), *loaded]
+
+
+PATCHED_BEFORE_FIRST_USE = """
+import contextlib, io, sys
+from fourfree import cli
+calls = dict.fromkeys(["smith_normal_form", "find_mono_triples", "all_colourings_forced"], 0)
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+for name in calls:
+    setattr(cli, name, counting(name, getattr(cli, name)))
+argvs = [["analyze", "--input", sys.argv[1]], ["verify"], ["search", "--group", "4", "--colours", "2"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(*codes, *(calls[name] for name in calls))
+"""
+
+
+def test_hook_patched_before_first_use_is_kept(tmp_path):
+    """A wrapper set on a ``cli`` global before any subcommand runs, as the
+    benchmark's ``--trace 1`` does, is what the subcommand then calls."""
+    out = run_in_fresh_interpreter(PATCHED_BEFORE_FIRST_USE, write(tmp_path / "z2z6.pres", Z2_Z6_FILE))
+    codes, calls = out.split()[:3], out.split()[3:]
+    assert codes == [str(EXIT_OK)] * 3
+    assert all(int(n) > 0 for n in calls), out

@@ -41,9 +41,17 @@ def test_package_exports_exactly_what_demos_and_readme_import():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         used |= _top_level_imports(block)
-    exported = {
+    assert set(fourfree.__all__) == used
+    # the exports load lazily: each resolves to an object, none is bound but these
+    assert not any(isinstance(getattr(fourfree, name), types.ModuleType) for name in fourfree.__all__)
+    bound = {
         name
         for name, value in vars(fourfree).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == used
+    assert bound <= used
+    # and importing the package alone loads none of its submodules
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, fourfree; print(sorted(m for m in sys.modules if m.startswith('fourfree.')))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
