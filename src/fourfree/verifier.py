@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .ambient import (
     INTEGER,
@@ -52,7 +52,9 @@ from .ambient import (
 )
 from .arith import DEFAULT_SAMPLE_CAP, size_text
 from .colouring import Colour, colour, colour_encode, reads_layers
-from .sumset import Elem, FiniteGroupSpec
+
+if TYPE_CHECKING:  # imported at run time by the order-4 demo alone
+    from .sumset import Elem, FiniteGroupSpec
 
 __all__ = [
     "DEFAULT_SAMPLE_CAP",
@@ -618,6 +620,7 @@ def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
     Z4 (+) Z4), otherwise the first witness in lex order.  On a 4-free group
     the search comes up empty, matching the hypothesis of the colouring.
     """
+    from .sumset import FiniteGroupSpec
     group = FiniteGroupSpec(tuple(orders))
     count, first = _order4_witnesses(group)
     lines = [

@@ -48,10 +48,15 @@ def reference_forced(group, colours, budget):
         dx = index[group.double(x)]
         for y in elems[i + 1 :]:
             triples.add(tuple(sorted((dx, index[group.double(y)], index[group.add(x, y)]))))
-    cons_by_last = [[] for _ in elems]
+    return reference_backtrack(len(elems), triples, colours, budget)
+
+
+def reference_backtrack(n, triples, colours, budget):
+    """The per-attempt backtracker itself, over n elements and sorted index
+    triples (a, b, m): element m may not take the colour a and b share."""
+    cons_by_last = [[] for _ in range(n)]
     for tri in triples:
         cons_by_last[tri[2]].append(tri)
-    n = len(elems)
     assignment = [0] * n
     used = [0] * (n + 1)
     next_try = [0] * n
@@ -160,13 +165,16 @@ class TestAgainstPerAttemptOracle:
 
 
 class TestPrefixMasks:
-    """The search reads each depth's pairs as a split and counts dead children
-    without descending; both must reproduce the per-attempt oracle exactly."""
+    """The search reads each depth's pairs as a split and counts dead and leaf
+    children without descending; both must reproduce the per-attempt oracle
+    exactly."""
 
-    @pytest.mark.parametrize("orders", [(4, 4), (3, 3), (2, 2, 2)], ids=str)
-    @pytest.mark.parametrize("colours", [2, 3])
+    @pytest.mark.parametrize("orders", [(4, 4), (3, 3), (2, 2, 2), (4, 2), (8,)], ids=str)
+    @pytest.mark.parametrize("colours", [2, 3, 4])
     def test_every_small_budget_matches_oracle(self, orders, colours):
-        # budgets that run out inside a dead child's colours included
+        # budgets that run out inside a dead or leaf child's colours included; at
+        # 4 colours leaf children with the new colour open and at the colour limit
+        # both occur, and the small groups reach their last depth
         group = FiniteGroupSpec(orders)
         for budget in range(401):
             res = all_colourings_forced(group, colours, budget=budget)
@@ -178,13 +186,39 @@ class TestPrefixMasks:
     def test_split_reassembles_the_pair_sets(self, orders):
         group = FiniteGroupSpec(orders)
         split = sumset._pair_constraints(group)
-        assert len(split) == group.size
+        assert len(split) == group.size + 1
+        assert all(b < k - 1 for k, (inside, _, _) in enumerate(split) for _, b in inside)
         rebuilt = [set()] + [
-            set(inside) | {(a, k) for a in partners} | ({(k, k)} if self_pair else set())
-            for k, (inside, partners, self_pair) in enumerate(split)
+            set(inside) | {(a, k - 1) for a in r} | {(a, k) for a in q}
+            for k, (inside, r, q) in enumerate(split)
         ]
-        assert rebuilt[-1] == set()  # the last element has no successor to constrain
-        assert rebuilt[:-1] == [set(p) for p in reference_pairs(group)]
+        assert rebuilt[-2:] == [set(), set()]  # no element past the last to constrain
+        assert rebuilt[:-2] == [set(p) for p in reference_pairs(group)]
+
+    def test_random_pair_systems_match_oracle(self, monkeypatch):
+        # groups seldom leave a child only its new colour with that grandchild dead
+        # too; random systems of pairs reach every term of the leaf count
+        rng = random.Random(15)
+        for _ in range(600):
+            n = rng.randrange(2, 9)
+            pairs = [set() for _ in range(n + 2)]  # (a, b), a <= b < m, by the element m they constrain
+            for m in range(1, n):
+                for a in (rng.randrange(m) for _ in range(rng.randrange(5))):
+                    pairs[m].add((a, rng.randrange(a, m)))
+            split = tuple(  # _pair_constraints' split of these pairs
+                (
+                    tuple(p for p in ps if p[1] < k - 1),
+                    tuple(a for a, b in ps if b == k - 1),
+                    tuple(a for a, b in ps if b == k),
+                )
+                for k, ps in enumerate(sorted(p) for p in pairs[1:])
+            )
+            monkeypatch.setattr(sumset, "_pair_constraints", lambda group, split=split: split)
+            monkeypatch.setattr(sumset, "_kernels", lambda group, n=n: [None] * (n + 1))
+            colours, budget = rng.randrange(1, 5), rng.choice([rng.randrange(60), 10**6])
+            res = all_colourings_forced(FiniteGroupSpec((n,)), colours, budget=budget)
+            triples = [(a, b, m) for m, ps in enumerate(pairs) for a, b in ps]
+            assert (res.verdict, res.witness, res.nodes) == reference_backtrack(n, triples, colours, budget)
 
     def test_colour_count_beyond_the_group_is_prompt(self):
         # the search sizes its tables by the colours a depth can reach, never by the count asked for
@@ -193,6 +227,52 @@ class TestPrefixMasks:
         assert (res.verdict, res.witness, res.nodes) == reference_forced(group, 10**12, 10**6)
         same = all_colourings_forced(group, group.size)
         assert (res.verdict, res.witness, res.nodes) == (same.verdict, same.witness, same.nodes)
+
+
+def reference_mask(k, inside, r, q, bit):
+    """Oracle for ``_kernel``: the colours element k+1 may not take, ORed pair
+    by pair over depth k's split once elements up to k have colours."""
+    f = 0
+    for a, b in [*inside, *((a, k - 1) for a in r), *((a, k) for a in q)]:
+        f |= bit[a] & bit[b]
+    return f
+
+
+class TestKernel:
+    """Each depth's generated function must give the masks a plain OR loop gives."""
+
+    @pytest.mark.parametrize("length", [
+        0, 1, sumset._UNROLL - 1, sumset._UNROLL, sumset._UNROLL + 1, 20_000,
+    ])
+    def test_matches_a_plain_or_loop(self, length):
+        rng = random.Random(length)
+        k = 40
+        for trial in range(12):
+            # every colour k may take (k - 1 in r), and the pairs (k - 1, k) and (k, k), in turn
+            inside = [tuple(sorted((rng.randrange(k - 1), rng.randrange(k - 1)))) for _ in range(length)]
+            r = sorted(rng.randrange(k - 1) for _ in range(length)) + [k - 1] * (trial % 2)
+            q = sorted(rng.randrange(k - 1) for _ in range(length)) + [k - 1] * (trial % 3 == 1)
+            q += [k] * (trial % 4 == 2)
+            kernel = sumset._kernel(k, tuple(inside), tuple(r), tuple(q))
+            lists = [inside, [(a, k - 1) for a in r], [(a, k) for a in q]]
+            terms = [pair for pairs in lists for pair in pairs]
+            ends = [pairs[i] for pairs in lists if pairs for i in (0, -1)] or [(0, 1)]
+            # one-hot colours, distinct but for one pair's, so that pair alone decides the mask
+            for x, y in ends + rng.sample(terms, min(len(terms), 4)):
+                bit = [1 << c for c in range(k + 1)]
+                bit[y] = bit[x]
+                a, r_mask, qb, qr = kernel(bit[: k - 1])  # the kernel reads only elements before k - 1
+                got = a | r_mask & bit[k - 1] | (qb | qr & bit[k - 1]) & bit[k]
+                assert got == reference_mask(k, inside, r, q, bit), (x, y)
+
+    def test_every_depth_of_a_large_group(self):
+        # enough colours to reach the last depth builds every kernel, long tails included
+        group = FiniteGroupSpec((32, 32))
+        res = all_colourings_forced(group, 16)
+        assert res.verdict == "not_forced"
+        assert find_mono_pair_sumset(group, res.witness_table()) is None
+        assert max(len(inside) for inside, _, _ in sumset._pair_constraints(group)) > sumset._UNROLL
+        assert all(sumset._kernels(group)[1:])
 
 
 class TestFiniteGroupSpec:
