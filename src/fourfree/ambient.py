@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .arith import INTEGER, RATIONAL, is_odd_prime
+from .arith import INTEGER, RATIONAL, is_odd_prime, record
 
 Rat = Union[int, Fraction]
 
@@ -53,7 +52,7 @@ class ElementParseError(ValueError):
     """Canonical element text could not be parsed."""
 
 
-@dataclass(frozen=True)
+@record
 class AmbientSignature:
     """Shape of an ambient group.
 
@@ -87,7 +86,7 @@ class AmbientSignature:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Profile:
     """Nonzero coordinate values of a direct-sum element, in index order.
 
@@ -119,7 +118,7 @@ def _is_power_of(den: int, p: int) -> bool:
     return den == 1
 
 
-@dataclass(frozen=True)
+@record
 class AmbientElement:
     """An element of an ambient group, stored in canonical form.
 

@@ -38,12 +38,11 @@ form of the ambient module, e.g. ``d:{0=1/9,1=2/5};t:10;q:(0,3/2)``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import os
 import re
-import shutil
+import stat
 import sys
 import time
 from typing import Optional, Sequence
@@ -227,7 +226,7 @@ def _emit(report: dict, output: Optional[str]) -> None:
                 json.dump(report, fh, indent=2)
                 fh.write("\n")
             if os.path.isfile(target):
-                shutil.copymode(target, tmp)
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
         except BaseException:
             if os.path.isfile(tmp):
@@ -320,7 +319,7 @@ def cmd_colour(args) -> tuple[Optional[dict], int]:
 def cmd_verify(args) -> tuple[dict, int]:
     # verifier, the largest module, is compiled first, while the heap is freshest:
     # where bytecode is not cached its compile sets the call's peak RSS
-    _load("verifier", "colouring")
+    _load("verifier", "colouring", "ambient")
     config = _config(args)
     report: dict = {"config": config}
 
@@ -336,7 +335,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     elif args.signature:
         sig = parse_signature_text(args.signature, args.free_mode)
     else:
-        sig = dataclasses.replace(SHIPPED_SAMPLES["demo-default"].signature, free_mode=args.free_mode)
+        default = SHIPPED_SAMPLES["demo-default"].signature
+        sig = AmbientSignature(default.prufer_factors, default.s, default.r, args.free_mode)
     config["resolved_signature"] = sig.describe()
 
     try:

@@ -21,11 +21,10 @@ with values as reduced fraction strings; the zero element encodes as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ambient import INTEGER, AmbientElement, Profile, element
-from .arith import DROPPED_LAYERS
+from .arith import DROPPED_LAYERS, record
 
 __all__ = [
     "Colour",
@@ -47,7 +46,7 @@ class NotHalvable(ValueError):
     """No group element doubles to the given element."""
 
 
-@dataclass(frozen=True)
+@record
 class Colour:
     d_profile: Profile
     y_profile: Profile

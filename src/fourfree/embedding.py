@@ -12,11 +12,10 @@ primary factors first (sorted by prime then exponent), then free generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ambient import RATIONAL, AmbientElement, AmbientSignature, element, zero
+from .ambient import RATIONAL, AmbientElement, AmbientSignature, element, record, zero
 from .presentation import CanonicalDecomposition, has_order_four
 
 __all__ = ["EmbeddingMap", "OrderFourPresent", "build_embedding", "embed"]
@@ -26,7 +25,7 @@ class OrderFourPresent(ValueError):
     """The group has an element of order 4, so no 4-free ambient exists."""
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingMap:
     decomposition: CanonicalDecomposition
     signature: AmbientSignature

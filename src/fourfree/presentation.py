@@ -20,10 +20,9 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .arith import factorize, is_odd_prime, is_prime, xgcd
+from .arith import factorize, is_odd_prime, is_prime, record, xgcd
 
 __all__ = [
     "SNFResult",
@@ -39,7 +38,7 @@ __all__ = [
 Matrix = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
+@record
 class SNFResult:
     """Unimodular U, V and diagonal S with U * A * V = S, d1 | d2 | ... ."""
 
@@ -152,7 +151,7 @@ def smith_normal_form(A: Matrix, n_cols: Union[int, None] = None) -> SNFResult:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """Relation matrix over ``n_generators`` named generators."""
 
@@ -172,7 +171,7 @@ class Presentation:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalDecomposition:
     """Free rank plus the multiset of prime-power cyclic factors.
 

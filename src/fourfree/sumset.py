@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .arith import DEFAULT_BUDGET, DEFAULT_GROUP_CAP, size_text
+from .arith import DEFAULT_BUDGET, DEFAULT_GROUP_CAP, record, size_text
 
 Elem = tuple[int, ...]
 _UNROLL = 16  # terms a kernel writes out per mask, see _kernel
@@ -45,7 +44,7 @@ class GroupTooLarge(ValueError):
     """Group size exceeds the cap for exhaustive operations."""
 
 
-@dataclass(frozen=True)
+@record
 class FiniteGroupSpec:
     """Direct sum of cyclic groups of the given orders."""
 
@@ -114,7 +113,7 @@ def _witness_json(
     return None if table is None else {str(list(e)): c for e, c in sorted(table.items())}
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     group: FiniteGroupSpec
     colours: int
@@ -277,7 +276,7 @@ def all_colourings_forced(
     return SearchResult(group, colours, "forced", None, nodes)
 
 
-@dataclass(frozen=True)
+@record
 class MinColoursResult:
     group: FiniteGroupSpec
     verdict: str  # "ok" | "unknown"

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import random
 from collections import abc
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
@@ -50,7 +49,7 @@ from .ambient import (
     AmbientSignature,
     SignatureMismatch,
 )
-from .arith import DEFAULT_SAMPLE_CAP, size_text
+from .arith import DEFAULT_SAMPLE_CAP, record, size_text
 from .colouring import Colour, colour, colour_encode, reads_layers
 
 if TYPE_CHECKING:  # imported at run time by the order-4 demo alone
@@ -77,7 +76,7 @@ class SampleCapExceeded(ValueError):
     """An exhaustive sample would exceed the configured element cap."""
 
 
-@dataclass(frozen=True)
+@record
 class SampleSpec:
     """Finite sampling window for one ambient signature.
 
@@ -251,7 +250,7 @@ class _Product(abc.Sequence):
         return hash(tuple(self))
 
 
-@dataclass(frozen=True)
+@record
 class Sample(abc.Sequence):
     """A window of ambient elements, held as integer codes (d, t, q).
 
@@ -398,7 +397,7 @@ def _classes(s: Sample, d_key, q_key):
     return len(uniq), len(by_key), by_key.items()
 
 
-@dataclass(frozen=True)
+@record
 class TripleReport:
     """Outcome of one pair sweep; violations in canonical text order."""
 
@@ -500,7 +499,7 @@ def find_mono_triples(
     )
 
 
-@dataclass(frozen=True)
+@record
 class CosetReport:
     """Halvable-element census per coset of the order-2 block."""
 
@@ -591,7 +590,7 @@ def find_order4_witness(group: FiniteGroupSpec) -> Optional[tuple[Elem, Elem]]:
     return _order4_witnesses(group)[1]
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionDemo:
     group: FiniteGroupSpec
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]

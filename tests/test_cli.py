@@ -681,8 +681,8 @@ def test_cli_adds_sample_first_and_elapsed_last(tmp_path, capsys):
         assert list(result) == keys and isinstance(result["elapsed_s"], float)
 
 
-def test_only_the_cli_reads_the_clock():
-    """Within the package only ``cli`` imports ``time``, so library results hold no timing."""
+def importers_of(module: str) -> set:
+    """Names of the package's files that import ``module`` or one of its submodules."""
     importers = set()
     for path in Path(cli.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -692,9 +692,20 @@ def test_only_the_cli_reads_the_clock():
                 modules = [node.module]
             else:
                 continue
-            if any(m == "time" or (m or "").startswith("time.") for m in modules):
+            if any(m == module or (m or "").startswith(f"{module}.") for m in modules):
                 importers.add(path.name)
-    assert importers == {"cli.py"}
+    return importers
+
+
+def test_only_the_cli_reads_the_clock():
+    """Within the package only ``cli`` imports ``time``, so library results hold no timing."""
+    assert importers_of("time") == {"cli.py"}
+
+
+def test_no_module_imports_dataclasses():
+    """Records come from ``arith.record``: ``dataclasses`` loads ``inspect``,
+    about 15 ms of every call's start-up."""
+    assert importers_of("dataclasses") == set()
 
 
 def run_in_fresh_interpreter(script, *args):
@@ -712,7 +723,7 @@ import contextlib, io, sys
 from fourfree import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "fourfree"))
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("fourfree", "dataclasses", "inspect")))
 """
 
 
@@ -721,9 +732,13 @@ print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "fourfree")
     (["embed", "--input", "{pres}"], ["ambient", "embedding", "presentation"]),
     (["search", "--group", "4", "--min-colours"], ["sumset"]),
     (["verify", "--signature", "prufer=3;s=1;r=1"], ["ambient", "colouring", "verifier"]),
+    (["verify", "--free-mode", "integer"], ["ambient", "colouring", "verifier"]),
     (["colour", "d:{};t:00;q:(0)"], ["ambient", "colouring"]),
-], ids=["analyze", "embed", "search", "verify-signature", "colour"])
+    (["demo", "--group", "4,4"], ["ambient", "colouring", "sumset", "verifier"]),
+], ids=["analyze", "embed", "search", "verify-signature", "verify-default", "colour", "demo"])
 def test_subcommand_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    """Each subcommand loads its own layers and neither ``dataclasses`` nor the
+    ``inspect`` it imports."""
     pres = write(tmp_path / "z2z6.pres", Z2_Z6_FILE)
     out = run_in_fresh_interpreter(LOADED_MODULES, *[arg.replace("{pres}", pres) for arg in argv])
     loaded = ["fourfree", *(f"fourfree.{m}" for m in sorted(["arith", "cli", *layers]))]

@@ -1,0 +1,172 @@
+"""Frozen records (``arith.record``) against ``dataclasses`` as the oracle.
+
+Each of the package's record classes must behave as the
+``dataclasses.dataclass(frozen=True)`` it replaces: the same repr (reports
+embed ``repr(Profile(...))`` in colour keys), the same hash (set and dict
+order of colour keys follow it), equality within one class only, frozen
+fields, keyword construction with the same defaults, and ``__post_init__``.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from fourfree.ambient import AmbientElement, AmbientSignature, Profile, element
+from fourfree.colouring import Colour, colour
+from fourfree.embedding import EmbeddingMap, build_embedding
+from fourfree.presentation import (
+    CanonicalDecomposition,
+    Presentation,
+    SNFResult,
+    canonical_decomposition,
+    smith_normal_form,
+)
+from fourfree.sumset import (
+    FiniteGroupSpec,
+    MinColoursResult,
+    SearchResult,
+    all_colourings_forced,
+    min_colours_avoiding,
+)
+from fourfree.verifier import (
+    SHIPPED_SAMPLES,
+    CosetReport,
+    ObstructionDemo,
+    Sample,
+    SampleSpec,
+    TripleReport,
+    check_coset_uniqueness,
+    enumerate_sample,
+    find_mono_triples,
+    order4_obstruction_demo,
+)
+
+SIG = AmbientSignature((3, 5), 2, 1)
+Z2_Z6 = Presentation(2, ((2, 0), (0, 6)))
+A = element(SIG, d={0: Fraction(1, 3)}, t=[1, 0], q=[Fraction(-1, 2)])
+WINDOW = enumerate_sample(SHIPPED_SAMPLES["demo-default"])
+
+
+def instances():
+    """One instance of each record class."""
+    return [
+        SIG,
+        A.q_profile(),
+        A,
+        colour(A),
+        build_embedding(canonical_decomposition(Z2_Z6)),
+        smith_normal_form(Z2_Z6.relations),
+        Z2_Z6,
+        canonical_decomposition(Z2_Z6),
+        FiniteGroupSpec((4,)),
+        all_colourings_forced(FiniteGroupSpec((4,)), 2),
+        min_colours_avoiding(FiniteGroupSpec((4,))),
+        SHIPPED_SAMPLES["depth-two"],
+        Sample.of([A, 2 * A]),
+        find_mono_triples(WINDOW),
+        check_coset_uniqueness(WINDOW),
+        order4_obstruction_demo((4, 4)),
+    ]
+
+
+RECORDS = [
+    AmbientSignature, Profile, AmbientElement, Colour, EmbeddingMap, SNFResult, Presentation,
+    CanonicalDecomposition, FiniteGroupSpec, SearchResult, MinColoursResult, SampleSpec, Sample,
+    TripleReport, CosetReport, ObstructionDemo,
+]
+
+
+def names(cls):
+    return list(cls.__dict__["__annotations__"])
+
+
+def twin_class(cls):
+    """The frozen dataclass with the same name, fields and defaults."""
+    fields = [
+        (n, object, dataclasses.field(default=cls.__dict__[n])) if n in cls.__dict__ else n
+        for n in names(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
+
+
+def values(obj):
+    return [getattr(obj, n) for n in names(type(obj))]
+
+
+def test_every_record_class_has_an_instance():
+    assert [type(obj) for obj in instances()] == RECORDS
+
+
+@pytest.mark.parametrize("obj", instances(), ids=[cls.__name__ for cls in RECORDS])
+class TestParityWithDataclass:
+    def test_repr_and_hash(self, obj):
+        twin = twin_class(type(obj))(*values(obj))
+        assert repr(obj) == repr(twin)
+        assert hash(obj) == hash(twin)
+
+    def test_equality_within_one_class_only(self, obj):
+        cls = type(obj)
+        same = cls(*values(obj))
+        assert same == obj and not same != obj and hash(same) == hash(obj)
+        twin = twin_class(cls)(*values(obj))
+        assert obj != twin and twin != obj
+        assert obj.__eq__(twin) is NotImplemented
+        assert obj != object()
+
+    def test_fields_are_frozen(self, obj):
+        first = names(type(obj))[0]
+        with pytest.raises(AttributeError):
+            setattr(obj, first, getattr(obj, first))
+        with pytest.raises(AttributeError):
+            delattr(obj, first)
+        with pytest.raises(AttributeError):
+            obj.unknown_field = 1
+        assert getattr(obj, first) == values(obj)[0]
+
+    def test_keyword_construction(self, obj):
+        cls = type(obj)
+        assert cls(**dict(zip(names(cls), values(obj)))) == obj
+        with pytest.raises(TypeError):
+            cls(*values(obj), None)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", [
+    (AmbientSignature, [], {}),
+    (AmbientSignature, [], {"r": 2}),
+    (Profile, [], {}),
+    (AmbientElement, [AmbientSignature((3,))], {}),
+    (Presentation, [2], {}),
+    (CanonicalDecomposition, [1], {}),
+    (SampleSpec, [SIG], {}),
+    (SampleSpec, [SIG], {"mode": "random", "count": 3}),
+], ids=["signature", "signature-r", "profile", "element", "presentation", "decomposition",
+        "spec", "spec-random"])
+def test_defaults(cls, args, kwargs):
+    assert repr(cls(*args, **kwargs)) == repr(twin_class(cls)(*args, **kwargs))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AmbientSignature((4,)),
+    lambda: AmbientSignature((3,), -1),
+    lambda: Profile((Fraction(1, 3), 0)),
+    lambda: AmbientElement(SIG, d=((0, Fraction(1, 2)),)),
+    lambda: Presentation(-1),
+    lambda: Presentation(2, ((1, 2, 3),)),
+    lambda: CanonicalDecomposition(0, ((4, 1),)),
+    lambda: FiniteGroupSpec((1,)),
+    lambda: SampleSpec(SIG, prufer_depth=0),
+], ids=["signature-prime", "signature-count", "profile-zero", "element-denominator",
+        "presentation-count", "presentation-row", "decomposition-prime", "group-order",
+        "spec-depth"])
+def test_post_init_rejects_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_post_init_normalises_fields():
+    assert AmbientSignature([3, 5]).prufer_factors == (3, 5)
+    assert Profile((1, 2)).values == (Fraction(1), Fraction(2))
+    assert Presentation(1, [[2]]).relations == ((2,),)
+    assert CanonicalDecomposition(0, [(5, 1), (3, 2)]).primary_factors == ((3, 2), (5, 1))
+    assert Sample.of([A]).text(Sample.of([A]).codes[0]) == A.canonical_text()
