@@ -22,9 +22,9 @@ _EXPORTS = {
     "embedding": ("build_embedding", "embed"),
     "presentation": ("Presentation", "adjoin_divisor", "canonical_decomposition",
                      "element_order_in", "has_order_four", "smith_normal_form"),
-    "sumset": ("all_colourings_forced", "find_mono_pair_sumset", "min_colours_avoiding"),
-    "verifier": ("SHIPPED_SAMPLES", "check_coset_uniqueness", "enumerate_sample",
-                 "find_mono_triples", "find_order4_witness", "order4_obstruction_demo"),
+    "sumset": ("all_colourings_forced", "find_mono_pair_sumset", "find_order4_witness",
+               "min_colours_avoiding", "order4_obstruction_demo"),
+    "verifier": ("SHIPPED_SAMPLES", "check_coset_uniqueness", "enumerate_sample", "find_mono_triples"),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]
 

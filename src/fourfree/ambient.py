@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
 
 from .arith import INTEGER, RATIONAL, is_odd_prime, record
-
-Rat = Union[int, Fraction]
 
 __all__ = [
     "RATIONAL",
@@ -203,7 +201,7 @@ class AmbientElement:
     def is_zero(self) -> bool:
         return not self.d and not any(self.t) and not any(self.q)
 
-    def order(self) -> Union[int, float]:
+    def order(self) -> int | float:
         """Least n >= 1 with n*self = 0, or math.inf.
 
         The order is the lcm of the coordinate orders: a Pruefer coordinate
@@ -289,9 +287,9 @@ class AmbientElement:
 
 def element(
     signature: AmbientSignature,
-    d: Union[Mapping[int, Rat], Iterable[tuple[int, Rat]], None] = None,
-    t: Union[Sequence[int], None] = None,
-    q: Union[Sequence[Rat], None] = None,
+    d: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] | None = None,
+    t: Sequence[int] | None = None,
+    q: Sequence[int | Fraction] | None = None,
 ) -> AmbientElement:
     """Build an element, normalizing coordinates.
 

@@ -3,8 +3,6 @@ CLI parser needs, which live in this leaf module so that building it loads no la
 
 from __future__ import annotations
 
-from typing import Optional
-
 RATIONAL = "rational"
 INTEGER = "integer"
 DEFAULT_SAMPLE_CAP = 100_000
@@ -105,7 +103,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def size_text(size: Optional[int], log2_floor: int = 0) -> str:
+def size_text(size: int | None, log2_floor: int = 0) -> str:
     """A size over a cap for a message: in decimal, or ``at least 2^k`` when it
     was not counted (None, at least 2^log2_floor) or Python refuses to print it."""
     if size is None:

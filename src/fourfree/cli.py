@@ -45,7 +45,7 @@ import re
 import stat
 import sys
 import time
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -67,9 +67,10 @@ _LAYER_NAMES = {
     "colouring": ("DROPPED_LAYER_COLOURINGS", "colour", "colour_encode"),
     "embedding": ("build_embedding",),
     "presentation": ("Presentation", "canonical_decomposition", "has_order_four", "smith_normal_form"),
-    "sumset": ("FiniteGroupSpec", "GroupTooLarge", "all_colourings_forced", "min_colours_avoiding"),
+    "sumset": ("FiniteGroupSpec", "GroupTooLarge", "all_colourings_forced", "min_colours_avoiding",
+               "order4_obstruction_demo"),
     "verifier": ("SHIPPED_SAMPLES", "SampleCapExceeded", "SampleSpec", "check_coset_uniqueness",
-                 "enumerate_sample", "find_mono_triples", "order4_obstruction_demo"),
+                 "enumerate_sample", "find_mono_triples"),
 }
 
 
@@ -198,7 +199,7 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 # -- output ----------------------------------------------------------------
 
 
-def _emit(report: dict, output: Optional[str]) -> None:
+def _emit(report: dict, output: str | None) -> None:
     """Write ``report`` as JSON to ``output``, or to stdout when it is empty,
     whole or not at all.
 
@@ -289,7 +290,7 @@ def cmd_embed(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_colour(args) -> tuple[Optional[dict], int]:
+def cmd_colour(args) -> tuple[dict | None, int]:
     _load("ambient", "colouring")
     sig = parse_signature_text(args.signature, args.free_mode)
     texts = list(args.elements)
@@ -373,8 +374,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     return report, EXIT_OK if triple.ok else EXIT_VIOLATIONS
 
 
-def cmd_demo(args) -> tuple[Optional[dict], int]:
-    _load("verifier")
+def cmd_demo(args) -> tuple[dict | None, int]:
     group = _parse_group(args.group)
     if group.size > DEFAULT_GROUP_CAP:
         raise CliError(f"group size {size_text(group.size)} exceeds cap {DEFAULT_GROUP_CAP}", EXIT_BUDGET)
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)

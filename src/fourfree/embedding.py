@@ -12,8 +12,8 @@ primary factors first (sorted by prime then exponent), then free generators.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .ambient import RATIONAL, AmbientElement, AmbientSignature, element, record, zero
 from .presentation import CanonicalDecomposition, has_order_four

@@ -20,7 +20,7 @@ order.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .arith import factorize, is_odd_prime, is_prime, record, xgcd
 
@@ -34,8 +34,6 @@ __all__ = [
     "adjoin_divisor",
     "element_order_in",
 ]
-
-Matrix = Sequence[Sequence[int]]
 
 
 @record
@@ -57,7 +55,7 @@ class SNFResult:
         return tuple(x for x in self.diagonal if x)
 
 
-def smith_normal_form(A: Matrix, n_cols: Union[int, None] = None) -> SNFResult:
+def smith_normal_form(A: Sequence[Sequence[int]], n_cols: int | None = None) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Returns S = U*A*V with nonnegative diagonal entries forming a divisibility
@@ -247,7 +245,7 @@ def adjoin_divisor(pres: Presentation, x: Sequence[int], prime: int) -> Presenta
 
 def element_order_in(
     dec: CanonicalDecomposition, coords: Sequence[int]
-) -> Union[int, float]:
+) -> int | float:
     """Order of the element with the given canonical coordinates.
 
     ``coords`` lists one integer per canonical generator: primary factors

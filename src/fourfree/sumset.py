@@ -7,7 +7,8 @@ admits a monochromatic pair, and ``min_colours_avoiding`` finds the least c
 for which some colouring avoids them.  The search keeps two masks per node,
 takes its children's masks from a compiled per-depth kernel, and counts a
 child none of whose colours leaves a live grandchild without descending.
-Budget exhaustion is a distinct ``unknown`` verdict.
+Budget exhaustion is a distinct ``unknown`` verdict.  ``order4_obstruction_demo``
+shows why halving, and with it the colouring, fails once order-4 elements exist.
 
 This module deliberately caps sumsets at |X| = 2 (the triple {2x, 2y, x+y}).
 Forcing monochromatic X+X for larger X is known only in astronomically large
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from itertools import product
-from typing import Optional
 
 from .arith import DEFAULT_BUDGET, DEFAULT_GROUP_CAP, record, size_text
 
@@ -34,9 +35,12 @@ __all__ = [
     "SearchResult",
     "MinColoursResult",
     "GroupTooLarge",
+    "ObstructionDemo",
     "find_mono_pair_sumset",
     "all_colourings_forced",
     "min_colours_avoiding",
+    "find_order4_witness",
+    "order4_obstruction_demo",
 ]
 
 
@@ -78,11 +82,130 @@ class FiniteGroupSpec:
         return {"orders": list(self.orders), "size": self.size}
 
 
+# -- order-4 obstruction demo ---------------------------------------------
+#
+# The colouring argument needs halving to be unambiguous per coset; with an
+# order-4 element that fails.  The demo exhibits, in a finite group that
+# allows order 4, a pair g, h whose doubles are distinct but differ by an
+# order-2 element, so that g - h itself has order 4.  Over any 4-free group
+# the same search provably finds nothing.
+
+
+def _is_order4_witness(group: FiniteGroupSpec, g: Elem, h: Elem) -> bool:
+    dg, dh = group.double(g), group.double(h)
+    return dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2
+
+
+def _order4_witnesses(group: FiniteGroupSpec) -> tuple[int, tuple[Elem, Elem] | None]:
+    """Number of pairs g < h (lex) with 2g != 2h and 2g - 2h of order 2, and the first.
+
+    2g - 2h has order 2 exactly when 4g = 4h and 2g != 2h, so the witnesses
+    are the pairs inside one class of 4g that lie in different classes of 2g.
+    Elements arrive in lex order, so classes come in the order of their least
+    members, and the first witness pairs the least member of the first class
+    with two subclasses with the least member of its other subclasses.
+    """
+    classes: dict[Elem, dict[Elem, list[Elem]]] = {}
+    for g in group.elements():
+        dg = group.double(g)
+        classes.setdefault(group.double(dg), {}).setdefault(dg, []).append(g)
+    count = 0
+    first = None
+    for by_double in classes.values():
+        sizes = [len(members) for members in by_double.values()]
+        count += (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
+        if first is None and len(sizes) > 1:
+            (g, *_), *others = by_double.values()
+            first = (g, min(members[0] for members in others))
+    return count, first
+
+
+def find_order4_witness(group: FiniteGroupSpec) -> tuple[Elem, Elem] | None:
+    """First (lex) pair g < h with 2g != 2h and 2g - 2h of order 2, or None."""
+    return _order4_witnesses(group)[1]
+
+
+@record
+class ObstructionDemo:
+    group: FiniteGroupSpec
+    witness: tuple[Elem, Elem] | None
+    doubles: tuple[Elem, Elem] | None
+    difference_order: int | None
+    witness_count: int
+    transcript: tuple[str, ...]
+
+    def describe(self) -> dict:
+        return {
+            "group": self.group.describe(),
+            "witness": None if self.witness is None else [list(self.witness[0]), list(self.witness[1])],
+            "doubles": None if self.doubles is None else [list(self.doubles[0]), list(self.doubles[1])],
+            "difference_order": self.difference_order,
+            "witness_count": self.witness_count,
+            "transcript": list(self.transcript),
+        }
+
+
+def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
+    """Show why halving breaks down once order-4 elements are allowed.
+
+    Searches the group for pairs g, h with 2g != 2h and 2g - 2h of order 2;
+    for every such pair g - h necessarily has order 4.  The transcript
+    features the standard generator pair when it qualifies (it does in
+    Z4 (+) Z4), otherwise the first witness in lex order.  On a 4-free group
+    the search comes up empty, matching the hypothesis of the colouring.
+    """
+    group = FiniteGroupSpec(tuple(orders))
+    count, first = _order4_witnesses(group)
+    lines = [
+        f"group: direct sum of cyclic orders {list(group.orders)} ({group.size} elements)",
+        "searching for pairs (g, h) with 2g != 2h and 2g - 2h of order 2 ...",
+        f"witness pairs found: {count}",
+    ]
+    if first is None:
+        lines.append(
+            "no witness exists: the group is 4-free, so doubles that differ "
+            "never differ by an order-2 element, and halving stays unambiguous."
+        )
+        return ObstructionDemo(group, None, None, None, 0, tuple(lines))
+
+    # feature the generator pair if it qualifies, else the lex-first witness
+    rank = len(group.orders)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    featured = next(
+        (
+            (g, h)
+            for gi, g in enumerate(units)
+            for h in units[gi + 1 :]
+            if _is_order4_witness(group, g, h)
+        ),
+        first,
+    )
+    g, h = featured
+    u, v = group.double(g), group.double(h)
+    diff = group.add(u, group.neg(v))
+    gh = group.add(g, group.neg(h))
+    gh_order = group.order_of(gh)
+    if gh_order != 4:
+        raise AssertionError("2(g-h) of order 2 must make g-h of order 4")
+    lines += [
+        f"featured witness: g = {g}, h = {h}",
+        f"u = 2g = {u},  v = 2h = {v},  u != v",
+        f"u - v = {diff} has order {group.order_of(diff)}",
+        f"g - h = {gh} has order {gh_order}:",
+        "halving u and v forced an element of order 4, so in a group that",
+        "admits order-4 elements two distinct halvable elements can share a",
+        "coset of the order-2 part and the halvability colour stops working.",
+    ]
+    return ObstructionDemo(
+        group, featured, (u, v), group.order_of(diff), count, tuple(lines)
+    )
+
+
 def find_mono_pair_sumset(
     group: FiniteGroupSpec,
     table: dict[Elem, int],
     cap: int = DEFAULT_GROUP_CAP,
-) -> Optional[tuple[Elem, Elem]]:
+) -> tuple[Elem, Elem] | None:
     """First (lex order) distinct x, y with col(2x) = col(2y) = col(x+y), or None."""
     if group.size > cap:
         raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
@@ -100,15 +223,15 @@ def find_mono_pair_sumset(
 
 
 def _witness_table(
-    group: FiniteGroupSpec, witness: Optional[tuple[int, ...]]
-) -> Optional[dict[Elem, int]]:
+    group: FiniteGroupSpec, witness: tuple[int, ...] | None
+) -> dict[Elem, int] | None:
     """A search witness (one colour per element, lex order) keyed by element."""
     return None if witness is None else dict(zip(group.elements(), witness))
 
 
 def _witness_json(
-    group: FiniteGroupSpec, witness: Optional[tuple[int, ...]]
-) -> Optional[dict[str, int]]:
+    group: FiniteGroupSpec, witness: tuple[int, ...] | None
+) -> dict[str, int] | None:
     table = _witness_table(group, witness)
     return None if table is None else {str(list(e)): c for e, c in sorted(table.items())}
 
@@ -118,10 +241,10 @@ class SearchResult:
     group: FiniteGroupSpec
     colours: int
     verdict: str  # "forced" | "not_forced" | "unknown"
-    witness: Optional[tuple[int, ...]]  # colour per element, lex element order
+    witness: tuple[int, ...] | None  # colour per element, lex element order
     nodes: int
 
-    def witness_table(self) -> Optional[dict[Elem, int]]:
+    def witness_table(self) -> dict[Elem, int] | None:
         return _witness_table(self.group, self.witness)
 
     def describe(self) -> dict:
@@ -280,11 +403,11 @@ def all_colourings_forced(
 class MinColoursResult:
     group: FiniteGroupSpec
     verdict: str  # "ok" | "unknown"
-    count: Optional[int]
-    witness: Optional[tuple[int, ...]]
+    count: int | None
+    witness: tuple[int, ...] | None
     nodes: int
 
-    def witness_table(self) -> Optional[dict[Elem, int]]:
+    def witness_table(self) -> dict[Elem, int] | None:
         return _witness_table(self.group, self.witness)
 
     def describe(self) -> dict:

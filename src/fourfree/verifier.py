@@ -41,7 +41,6 @@ from collections import abc
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .ambient import (
     INTEGER,
@@ -52,21 +51,15 @@ from .ambient import (
 from .arith import DEFAULT_SAMPLE_CAP, record, size_text
 from .colouring import Colour, colour, colour_encode, reads_layers
 
-if TYPE_CHECKING:  # imported at run time by the order-4 demo alone
-    from .sumset import Elem, FiniteGroupSpec
-
 __all__ = [
     "DEFAULT_SAMPLE_CAP",
     "SampleSpec",
     "SampleCapExceeded",
     "TripleReport",
     "CosetReport",
-    "ObstructionDemo",
     "enumerate_sample",
     "find_mono_triples",
     "check_coset_uniqueness",
-    "find_order4_witness",
-    "order4_obstruction_demo",
     "constant_colour",
     "SHIPPED_SAMPLES",
 ]
@@ -266,10 +259,10 @@ class Sample(abc.Sequence):
     texts written once per distinct part.
     """
 
-    signature: Optional[AmbientSignature]
+    signature: AmbientSignature | None
     M: int
     L: int
-    codes: Sequence[_Code]
+    codes: abc.Sequence[_Code]
 
     def __post_init__(self):
         sig, M, L = self.signature, self.M, self.L
@@ -280,7 +273,7 @@ class Sample(abc.Sequence):
         set_(self, "_texts", cache(self._part_text))
 
     @classmethod
-    def of(cls, elements: Sequence[AmbientElement]) -> "Sample":
+    def of(cls, elements: abc.Sequence[AmbientElement]) -> "Sample":
         """Code a list of elements of one signature, each from its own coordinates."""
         if not elements:
             return cls(None, 1, 1, ())
@@ -427,8 +420,8 @@ class TripleReport:
 
 
 def find_mono_triples(
-    elements: Sequence[AmbientElement],
-    colour_fn: Callable[[AmbientElement], object] = colour,
+    elements: abc.Sequence[AmbientElement],
+    colour_fn: abc.Callable[[AmbientElement], object] = colour,
 ) -> TripleReport:
     """Check every unordered pair a != b for colour(2a) = colour(2b) = colour(a+b).
 
@@ -522,7 +515,7 @@ class CosetReport:
         }
 
 
-def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
+def check_coset_uniqueness(elements: abc.Sequence[AmbientElement]) -> CosetReport:
     """Each coset of the order-2 block holds at most one halvable element.
 
     Elements are grouped by (Pruefer part, free part), which identifies the
@@ -544,126 +537,6 @@ def check_coset_uniqueness(elements: Sequence[AmbientElement]) -> CosetReport:
         n_cosets=n_cosets,
         n_halvable=n_halvable,
         offenders=tuple(sorted(offenders)),
-    )
-
-
-# -- order-4 obstruction demo ---------------------------------------------
-#
-# The colouring argument needs halving to be unambiguous per coset; with an
-# order-4 element that fails.  The demo exhibits, in a finite group that
-# allows order 4, a pair g, h whose doubles are distinct but differ by an
-# order-2 element, so that g - h itself has order 4.  Over any 4-free group
-# the same search provably finds nothing.
-
-
-def _is_order4_witness(group: FiniteGroupSpec, g: Elem, h: Elem) -> bool:
-    dg, dh = group.double(g), group.double(h)
-    return dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2
-
-
-def _order4_witnesses(group: FiniteGroupSpec) -> tuple[int, Optional[tuple[Elem, Elem]]]:
-    """Number of pairs g < h (lex) with 2g != 2h and 2g - 2h of order 2, and the first.
-
-    2g - 2h has order 2 exactly when 4g = 4h and 2g != 2h, so the witnesses
-    are the pairs inside one class of 4g that lie in different classes of 2g.
-    Elements arrive in lex order, so classes come in the order of their least
-    members, and the first witness pairs the least member of the first class
-    with two subclasses with the least member of its other subclasses.
-    """
-    classes: dict[Elem, dict[Elem, list[Elem]]] = {}
-    for g in group.elements():
-        dg = group.double(g)
-        classes.setdefault(group.double(dg), {}).setdefault(dg, []).append(g)
-    count = 0
-    first = None
-    for by_double in classes.values():
-        sizes = [len(members) for members in by_double.values()]
-        count += (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
-        if first is None and len(sizes) > 1:
-            (g, *_), *others = by_double.values()
-            first = (g, min(members[0] for members in others))
-    return count, first
-
-
-def find_order4_witness(group: FiniteGroupSpec) -> Optional[tuple[Elem, Elem]]:
-    """First (lex) pair g < h with 2g != 2h and 2g - 2h of order 2, or None."""
-    return _order4_witnesses(group)[1]
-
-
-@record
-class ObstructionDemo:
-    group: FiniteGroupSpec
-    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
-    doubles: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
-    difference_order: Optional[int]
-    witness_count: int
-    transcript: tuple[str, ...]
-
-    def describe(self) -> dict:
-        return {
-            "group": self.group.describe(),
-            "witness": None if self.witness is None else [list(self.witness[0]), list(self.witness[1])],
-            "doubles": None if self.doubles is None else [list(self.doubles[0]), list(self.doubles[1])],
-            "difference_order": self.difference_order,
-            "witness_count": self.witness_count,
-            "transcript": list(self.transcript),
-        }
-
-
-def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
-    """Show why halving breaks down once order-4 elements are allowed.
-
-    Searches the group for pairs g, h with 2g != 2h and 2g - 2h of order 2;
-    for every such pair g - h necessarily has order 4.  The transcript
-    features the standard generator pair when it qualifies (it does in
-    Z4 (+) Z4), otherwise the first witness in lex order.  On a 4-free group
-    the search comes up empty, matching the hypothesis of the colouring.
-    """
-    from .sumset import FiniteGroupSpec
-    group = FiniteGroupSpec(tuple(orders))
-    count, first = _order4_witnesses(group)
-    lines = [
-        f"group: direct sum of cyclic orders {list(group.orders)} ({group.size} elements)",
-        "searching for pairs (g, h) with 2g != 2h and 2g - 2h of order 2 ...",
-        f"witness pairs found: {count}",
-    ]
-    if first is None:
-        lines.append(
-            "no witness exists: the group is 4-free, so doubles that differ "
-            "never differ by an order-2 element, and halving stays unambiguous."
-        )
-        return ObstructionDemo(group, None, None, None, 0, tuple(lines))
-
-    # feature the generator pair if it qualifies, else the lex-first witness
-    rank = len(group.orders)
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    featured = next(
-        (
-            (g, h)
-            for gi, g in enumerate(units)
-            for h in units[gi + 1 :]
-            if _is_order4_witness(group, g, h)
-        ),
-        first,
-    )
-    g, h = featured
-    u, v = group.double(g), group.double(h)
-    diff = group.add(u, group.neg(v))
-    gh = group.add(g, group.neg(h))
-    gh_order = group.order_of(gh)
-    if gh_order != 4:
-        raise AssertionError("2(g-h) of order 2 must make g-h of order 4")
-    lines += [
-        f"featured witness: g = {g}, h = {h}",
-        f"u = 2g = {u},  v = 2h = {v},  u != v",
-        f"u - v = {diff} has order {group.order_of(diff)}",
-        f"g - h = {gh} has order {gh_order}:",
-        "halving u and v forced an element of order 4, so in a group that",
-        "admits order-4 elements two distinct halvable elements can share a",
-        "coset of the order-2 part and the halvability colour stops working.",
-    ]
-    return ObstructionDemo(
-        group, featured, (u, v), group.order_of(diff), count, tuple(lines)
     )
 
 

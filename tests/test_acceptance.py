@@ -31,6 +31,7 @@ from fourfree.sumset import (
     FiniteGroupSpec,
     all_colourings_forced,
     find_mono_pair_sumset,
+    find_order4_witness,
     min_colours_avoiding,
 )
 from fourfree.verifier import (
@@ -39,7 +40,6 @@ from fourfree.verifier import (
     check_coset_uniqueness,
     enumerate_sample,
     find_mono_triples,
-    find_order4_witness,
 )
 
 from conftest import det
@@ -266,7 +266,7 @@ def test_c08_coset_uniqueness_on_shipped_samples():
 
 
 def test_c09_order4_obstruction():
-    from fourfree.verifier import order4_obstruction_demo
+    from fourfree.sumset import order4_obstruction_demo
 
     demo = order4_obstruction_demo((4, 4))
     group = demo.group

@@ -25,21 +25,21 @@ from fourfree.presentation import (
 from fourfree.sumset import (
     FiniteGroupSpec,
     MinColoursResult,
+    ObstructionDemo,
     SearchResult,
     all_colourings_forced,
     min_colours_avoiding,
+    order4_obstruction_demo,
 )
 from fourfree.verifier import (
     SHIPPED_SAMPLES,
     CosetReport,
-    ObstructionDemo,
     Sample,
     SampleSpec,
     TripleReport,
     check_coset_uniqueness,
     enumerate_sample,
     find_mono_triples,
-    order4_obstruction_demo,
 )
 
 SIG = AmbientSignature((3, 5), 2, 1)

@@ -19,7 +19,7 @@ from fourfree.colouring import (
     is_halvable,
     reads_layers,
 )
-from fourfree.sumset import FiniteGroupSpec
+from fourfree.sumset import FiniteGroupSpec, find_order4_witness, order4_obstruction_demo
 from fourfree.verifier import (
     SHIPPED_SAMPLES,
     Sample,
@@ -29,8 +29,6 @@ from fourfree.verifier import (
     constant_colour,
     enumerate_sample,
     find_mono_triples,
-    find_order4_witness,
-    order4_obstruction_demo,
 )
 
 
