@@ -17,7 +17,9 @@ Exit codes:
        of more than MAX_PRESENTATION_SIZE generators plus relations, or a
        Pruefer factor or presentation with a prime factor whose primality
        cannot be certified
-    4  I/O, parse or usage failure (a negative --budget or --cap, an unwritable report)
+    4  I/O, parse or usage failure (a negative --budget or --cap, an unwritable
+       report, verify --input with --signature, search without exactly one
+       of --colours N and --min-colours)
 
 Presentation file format (``analyze``, ``embed``, ``verify --input``)::
 
@@ -26,6 +28,8 @@ Presentation file format (``analyze``, ``embed``, ``verify --input``)::
     relations:
     2 0 0
     0 6 0
+
+with each header line at most once.
 
 Ambient signature text (``verify --signature``, ``colour --signature``)::
 
@@ -121,12 +125,16 @@ def parse_presentation_text(text: str, source: str = "<input>") -> Presentation:
         if not line:
             continue
         if line.startswith("generators:"):
+            if n_generators is not None:
+                raise CliError(f"{source}:{lineno}: repeated 'generators:' line")
             try:
                 n_generators = int(line.split(":", 1)[1])
             except ValueError:
                 raise CliError(f"{source}:{lineno}: bad generator count {line!r}")
             continue
         if line.startswith("relations:"):
+            if in_relations:
+                raise CliError(f"{source}:{lineno}: repeated 'relations:' line")
             in_relations = True
             continue
         if not in_relations:
@@ -402,8 +410,6 @@ def _parse_group(text: str) -> FiniteGroupSpec:
 
 def cmd_search(args) -> tuple[dict, int]:
     group = _parse_group(args.group)
-    if not args.min_colours and args.colours is None:
-        raise CliError("search needs --colours N or --min-colours")
     try:
         if args.min_colours:
             res, elapsed = _timed(min_colours_avoiding, group, budget=args.budget, cap=args.cap)
@@ -468,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_colour)
 
     p = sub.add_parser("verify", help="pair sweep for monochromatic {2a,2b,a+b}")
-    p.add_argument("--input", help="presentation file (embedded before sweeping)")
-    p.add_argument("--signature", help="ambient signature text (default: demo signature)")
+    window = p.add_mutually_exclusive_group()
+    window.add_argument("--input", help="presentation file (embedded before sweeping)")
+    window.add_argument("--signature", help="ambient signature text (default: demo signature)")
     p.add_argument("--free-mode", choices=[RATIONAL, INTEGER], default=RATIONAL)
     p.add_argument("--prufer-depth", type=int, default=1)
     p.add_argument("--q-bound", type=int, default=1, help="free numerator bound")
@@ -490,8 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="forced-colouring search on a finite group")
     p.add_argument("--group", default="4", help="cyclic orders, e.g. 4 or 4,4")
-    p.add_argument("--colours", type=int, default=None)
-    p.add_argument("--min-colours", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--colours", type=int, default=None)
+    mode.add_argument("--min-colours", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="colour assignments to try over the whole run")
     p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)

@@ -29,8 +29,6 @@ Elem = tuple[int, ...]
 _UNROLL = 16  # terms a kernel writes out per mask, see _kernel
 
 __all__ = [
-    "DEFAULT_GROUP_CAP",
-    "DEFAULT_BUDGET",
     "FiniteGroupSpec",
     "SearchResult",
     "MinColoursResult",
@@ -222,47 +220,42 @@ def find_mono_pair_sumset(
     return None
 
 
-def _witness_table(
-    group: FiniteGroupSpec, witness: tuple[int, ...] | None
-) -> dict[Elem, int] | None:
-    """A search witness (one colour per element, lex order) keyed by element."""
-    return None if witness is None else dict(zip(group.elements(), witness))
+class _Witnessed:
+    """A search result's ``witness`` (a colour per element, lex order) keyed by element; no fields."""
 
+    def witness_table(self) -> dict[Elem, int] | None:
+        return None if self.witness is None else dict(zip(self.group.elements(), self.witness))
 
-def _witness_json(
-    group: FiniteGroupSpec, witness: tuple[int, ...] | None
-) -> dict[str, int] | None:
-    table = _witness_table(group, witness)
-    return None if table is None else {str(list(e)): c for e, c in sorted(table.items())}
+    def witness_json(self) -> dict[str, int] | None:
+        table = self.witness_table()
+        return None if table is None else {str(list(e)): c for e, c in table.items()}
 
 
 @record
-class SearchResult:
+class SearchResult(_Witnessed):
     group: FiniteGroupSpec
     colours: int
     verdict: str  # "forced" | "not_forced" | "unknown"
     witness: tuple[int, ...] | None  # colour per element, lex element order
     nodes: int
 
-    def witness_table(self) -> dict[Elem, int] | None:
-        return _witness_table(self.group, self.witness)
-
     def describe(self) -> dict:
         return {
             "group": self.group.describe(),
             "colours": self.colours,
             "verdict": self.verdict,
-            "witness": _witness_json(self.group, self.witness),
+            "witness": self.witness_json(),
             "nodes": self.nodes,
         }
 
 
 @functools.lru_cache(maxsize=1)
-def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple[tuple, tuple[int, ...], tuple[int, ...]], ...]:
-    """Per depth k = 0..n (lex element order, n = |G|), the pairs (a, b),
-    a <= b, whose shared colour element k+1 may not take, split by whether
-    they involve element k-1: (inside: b < k-1, r: each a paired with k-1,
-    q: each a paired with k); the last two depths have none.
+def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple, list]:
+    """The split of ``group`` and a list to hold each depth's ``_kernel``.  Per
+    depth k = 0..n (lex element order, n = |G|), the split holds the pairs
+    (a, b), a <= b, whose shared colour element k+1 may not take, split by
+    whether they involve element k-1: (inside: b < k-1, r: each a paired with
+    k-1, q: each a paired with k); the last two depths have none.
 
     A forbidden triple {2x, 2y, x+y} with sorted indices (a, b, m) is
     monochromatic exactly when m takes the colour a and b share; a triple
@@ -270,7 +263,7 @@ def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple[tuple, tuple[int, .
     one row of 2y and, per x, one row of x+y from rotated coordinate ranges.
     ``_kernel`` compiles a depth's split, evaluated one depth ahead.  Cached
     for the last group, so the colour counts of one ``min_colours_avoiding``
-    run share one build; it clears this and ``_kernels``.
+    run share one build and its kernels; the run clears the cache.
     """
     n = group.size
     steps = [[j * math.prod(group.orders[i + 1 :]) for j in range(m)] for i, m in enumerate(group.orders)]
@@ -290,13 +283,7 @@ def _pair_constraints(group: FiniteGroupSpec) -> tuple[tuple[tuple, tuple[int, .
         inside = tuple((idx[a], idx[b]) for a, b in ab if b < k - 1)
         r = tuple(idx[a] for a, b in ab if b == k - 1)
         split.append((inside, r, tuple(idx[a] for a, b in ab if b == k)))
-    return tuple(split)
-
-
-@functools.lru_cache(maxsize=1)
-def _kernels(group: FiniteGroupSpec) -> list:
-    """Each depth's ``_kernel``, built on first use; cached like ``_pair_constraints``."""
-    return [None] * (group.size + 1)
+    return tuple(split), [None] * (n + 1)
 
 
 def _kernel(k: int, inside: tuple, r: tuple[int, ...], q: tuple[int, ...]):
@@ -353,7 +340,7 @@ def all_colourings_forced(
         raise ValueError("cap must be >= 0")
     if group.size > cap:
         raise GroupTooLarge(f"group size {size_text(group.size)} exceeds cap {cap}")
-    split, kernels = _pair_constraints(group), _kernels(group)
+    split, kernels = _pair_constraints(group)
     n = len(split) - 1
     width = [min(u + 1, colours) for u in range(min(colours, n) + 1)]  # colours open with u in use
     full = [(1 << w) - 1 for w in width]
@@ -400,22 +387,19 @@ def all_colourings_forced(
 
 
 @record
-class MinColoursResult:
+class MinColoursResult(_Witnessed):
     group: FiniteGroupSpec
     verdict: str  # "ok" | "unknown"
     count: int | None
     witness: tuple[int, ...] | None
     nodes: int
 
-    def witness_table(self) -> dict[Elem, int] | None:
-        return _witness_table(self.group, self.witness)
-
     def describe(self) -> dict:
         return {
             "group": self.group.describe(),
             "verdict": self.verdict,
             "min_colours": self.count,
-            "witness": _witness_json(self.group, self.witness),
+            "witness": self.witness_json(),
             "nodes": self.nodes,
         }
 
@@ -444,5 +428,4 @@ def min_colours_avoiding(
                 return MinColoursResult(group, "ok", c, res.witness, nodes)
     finally:
         _pair_constraints.cache_clear()
-        _kernels.cache_clear()
     raise AssertionError("injective colouring must avoid; unreachable")

@@ -65,6 +65,18 @@ class TestPresentationParsing:
             parse_presentation_text("generators: 1\nrelations:\n1\ntwo\n", source="f")
         assert "f:4" in str(err.value)
 
+    @pytest.mark.parametrize("text, lineno, header", [
+        ("generators: 2\ngenerators: 1\nrelations:\n2\n", 2, "generators:"),
+        ("generators: 1\nrelations:\n2\n# a comment\nrelations:\n3\n", 5, "relations:"),
+    ], ids=["generators", "relations"])
+    def test_repeated_header_reports_line(self, text, lineno, header, tmp_path, capsys):
+        with pytest.raises(cli.CliError, match=f"^f:{lineno}: repeated '{header}' line$") as err:
+            parse_presentation_text(text, source="f")
+        assert err.value.code == EXIT_IO
+        path = write(tmp_path / "g.pres", text)
+        assert main(["analyze", "--input", path]) == EXIT_IO
+        assert capsys.readouterr().err.endswith(f":{lineno}: repeated '{header}' line\n")
+
     def test_signature_text(self):
         sig = parse_signature_text("prufer=3,5;s=2;r=1")
         assert sig.prufer_factors == (3, 5) and sig.s == 2 and sig.r == 1
@@ -266,8 +278,12 @@ class TestVerify:
     ["search", "--group", "1", "--colours", "2"],
     ["search", "--colours", "0"],
     ["demo", "--group", "1"],
+    ["verify", "--input", "z2_z6.pres", "--signature", "s=1"],
+    ["search", "--group", "4", "--colours", "2", "--min-colours"],
 ])
-def test_bad_flag_is_input_error(argv, capsys):
+def test_bad_flag_is_input_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "z2_z6.pres", Z2_Z6_FILE)  # so that a conflict, not a missing file, is the error
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

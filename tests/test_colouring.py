@@ -62,10 +62,10 @@ def doubles_of_grid(sig, depth=1, q_num=3, q_den=2):
     return out
 
 
-class TestPiProjection:
-    """The projection pi onto the free part is ``a.q``."""
+class TestFreePart:
+    """Adding a t-block element leaves the free part ``a.q`` unchanged."""
 
-    def test_kernel_is_t(self, rng):
+    def test_t_block_leaves_q_unchanged(self, rng):
         t_elem = element(SIG, t=(1, 1))
         for _ in range(100):
             a = random_element(rng, SIG)

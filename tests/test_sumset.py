@@ -185,8 +185,8 @@ class TestPrefixMasks:
     @pytest.mark.parametrize("orders", ORACLE_SHAPES, ids=str)
     def test_split_reassembles_the_pair_sets(self, orders):
         group = FiniteGroupSpec(orders)
-        split = sumset._pair_constraints(group)
-        assert len(split) == group.size + 1
+        split, kernels = sumset._pair_constraints(group)
+        assert len(split) == len(kernels) == group.size + 1
         assert all(b < k - 1 for k, (inside, _, _) in enumerate(split) for _, b in inside)
         rebuilt = [set()] + [
             set(inside) | {(a, k - 1) for a in r} | {(a, k) for a in q}
@@ -213,8 +213,7 @@ class TestPrefixMasks:
                 )
                 for k, ps in enumerate(sorted(p) for p in pairs[1:])
             )
-            monkeypatch.setattr(sumset, "_pair_constraints", lambda group, split=split: split)
-            monkeypatch.setattr(sumset, "_kernels", lambda group, n=n: [None] * (n + 1))
+            monkeypatch.setattr(sumset, "_pair_constraints", lambda group, split=split, n=n: (split, [None] * (n + 1)))
             colours, budget = rng.randrange(1, 5), rng.choice([rng.randrange(60), 10**6])
             res = all_colourings_forced(FiniteGroupSpec((n,)), colours, budget=budget)
             triples = [(a, b, m) for m, ps in enumerate(pairs) for a, b in ps]
@@ -271,8 +270,9 @@ class TestKernel:
         res = all_colourings_forced(group, 16)
         assert res.verdict == "not_forced"
         assert find_mono_pair_sumset(group, res.witness_table()) is None
-        assert max(len(inside) for inside, _, _ in sumset._pair_constraints(group)) > sumset._UNROLL
-        assert all(sumset._kernels(group)[1:])
+        split, kernels = sumset._pair_constraints(group)
+        assert max(len(inside) for inside, _, _ in split) > sumset._UNROLL
+        assert all(kernels[1:])
 
 
 class TestFiniteGroupSpec:
@@ -412,8 +412,9 @@ class TestMinColoursAvoiding:
         assert min_colours_avoiding(group).count == 4
         info = infos[-1]
         assert (info.misses, info.hits) == (1, 3)  # colour counts 1..4, one build
-        pairs = sumset._pair_constraints(group)
-        assert isinstance(pairs, tuple) and all(isinstance(p, tuple) for p in pairs)
+        split, kernels = sumset._pair_constraints(group)
+        assert isinstance(split, tuple) and all(isinstance(p, tuple) for p in split)
+        assert kernels == [None] * (group.size + 1)  # a fresh build has compiled no kernel
 
     @pytest.mark.parametrize("budget, verdict", [(1_000_000, "ok"), (100, "unknown")])
     def test_constraints_released_after_the_run(self, budget, verdict):
