@@ -21,6 +21,7 @@ PRESENTATIONS = {
     "z2_z6.pres": "generators: 2\nrelations:\n2 0\n0 6\n",
     "z4.pres": "generators: 1\nrelations:\n4\n",
     "z3_z5.pres": "generators: 2\nrelations:\n3 0\n0 5\n",
+    "z2_z.pres": "generators: 2\nrelations:\n2 0\n",
 }
 
 
@@ -53,6 +54,12 @@ CASES = {
     "search-32-3": ["search", "--group", "32", "--colours", "3", "--budget", "2000000"],
     "search-4,4,2-3": ["search", "--group", "4,4,2", "--colours", "3", "--budget", "2000000"],
     "demo-4,4": ["demo", "--group", "4,4"],
+    "demo-3,9": ["demo", "--group", "3,9"],  # no order-4 element: no witness
+    "search-4-2": ["search", "--group", "4", "--colours", "2"],
+    "search-4-1": ["search", "--group", "4", "--colours", "1"],
+    "verify-random": ["verify", "--signature", "prufer=3;s=1;r=1", "--mode", "random",
+                      "--count", "60", "--seed", "4"],
+    "embed-z2_z-integer": ["embed", "--input", "z2_z.pres", "--free-mode", "integer"],
     "colour": ["colour", "--signature", "prufer=3,5;s=2;r=2", "d:{};t:00;q:(0,0)",
                "d:{0=1/9,1=2/5};t:01;q:(0,3/2)", "d:{1=4/25};t:10;q:(-1/2,2)"],
     **{
@@ -81,6 +88,11 @@ DIGESTS = {
     "search-32-3": "55a4974970f74ef8e891801894a5e59a6fd3c6edac6b9f64faae19693026045d",
     "search-4,4,2-3": "01d15bb4ac5d679a1c3309a58fe714311f6fbb9caf668166bb39a9e67ab92c54",
     "demo-4,4": "74b147cd382c0826fd9153e6d9aeaefc54a6c862c66989510118d0370a190f68",
+    "demo-3,9": "9a5606bd9924f460aa94ddd04c225f263d3c5936ac53485f266011a66b9cb3e0",
+    "search-4-2": "f92c6d846ea2ccc3d18d2fb7a5debbd4f4b49b5e89d4b18b4e7e3966242e313a",
+    "search-4-1": "7f01bec06421b3239df9dd7af20deeec59c6971caf4cbebeed7d1fd1a6193ad5",
+    "verify-random": "6db03c812393d7734bb9f6603923305acd1271231462462c61e92a3310e5e680",
+    "embed-z2_z-integer": "12a71a4472105b54f78beafc635d9b24ddc7d5af92f1fde5aa9f6c4b79fb1950",
     "colour": "0c9163256e2289873c18c156e7b361a886782867d5b1674a515380d9c247aff6",
     "analyze-z2_z6": "da986f6c70ac4f79ddb0eadbad8b25a16b93980f9a086723dd4d339d33a962ad",
     "analyze-z4": "2982b519f4d332e4eb2a5154ffbb640bf210e5b9f719c89341f1d5d5338b396e",
@@ -91,6 +103,9 @@ DIGESTS = {
     "verify-z2_z6": "da542b5a9f02dc9f06aa535a335c201c430549702bee1d8bad09ace5adac5be5",
     "verify-z4": "8ed270e9dbb2a87bbdf44948ab81d4cc9eff1efb4f6f2dd32121d89835c71cb3",
     "verify-z3_z5": "1fc09fd1e2fb645509223728923dd8b38d3aaf16585e8b217c79dc10d0311027",
+    "analyze-z2_z": "62a3d332447897b3eb89c97a181e9ca1ded62c3af6ef6221e132798bdf6f7221",
+    "embed-z2_z": "9ffb150a7143d73b3036c1fa91ef3e310073551e07cce11599df230d2793cdab",
+    "verify-z2_z": "a7af9a096f5a4ead38a509eac5b3e75f84f2eab94f8b78e67c4f59b76c840189",
 }
 
 
