@@ -27,7 +27,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from .arith import INTEGER, RATIONAL, is_odd_prime, record
+from .arith import INTEGER, RATIONAL, describe_fields, is_odd_prime, record
 
 __all__ = [
     "RATIONAL",
@@ -75,13 +75,7 @@ class AmbientSignature:
         if self.free_mode not in (RATIONAL, INTEGER):
             raise ValueError(f"unknown free mode {self.free_mode!r}")
 
-    def describe(self) -> dict:
-        return {
-            "prufer_factors": list(self.prufer_factors),
-            "s": self.s,
-            "r": self.r,
-            "free_mode": self.free_mode,
-        }
+    describe = describe_fields
 
 
 @record

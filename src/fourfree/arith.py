@@ -142,3 +142,18 @@ def __hash__(self): return hash(({fields}))""", namespace)
         if cls.__dict__.get(name) is None:
             setattr(cls, name, namespace.get(name, _frozen))
     return cls
+
+
+def _report_value(value):
+    """A field as a report writes it: its ``describe()``, a tuple as a list, else as is."""
+    if hasattr(value, "describe"):
+        return value.describe()
+    return [_report_value(v) for v in value] if isinstance(value, tuple) else value
+
+
+def describe_fields(self) -> dict:
+    """A record's own annotated fields in declaration order, as report values.  A record
+    sets ``describe = describe_fields`` or adds or overwrites one key on top of it."""
+    # TripleReport and CosetReport insert a derived key between fields and MinColoursResult
+    # writes its field count as min_colours, so those three write their own blocks.
+    return {n: _report_value(getattr(self, n)) for n in self.__class__.__dict__.get("__annotations__", {})}

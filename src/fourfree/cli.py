@@ -29,7 +29,7 @@ Presentation file format (``analyze``, ``embed``, ``verify --input``)::
     2 0 0
     0 6 0
 
-with each header line at most once.
+with each header line alone on its line and at most once.
 
 Ambient signature text (``verify --signature``, ``colour --signature``)::
 
@@ -135,6 +135,8 @@ def parse_presentation_text(text: str, source: str = "<input>") -> Presentation:
         if line.startswith("relations:"):
             if in_relations:
                 raise CliError(f"{source}:{lineno}: repeated 'relations:' line")
+            if line != "relations:":
+                raise CliError(f"{source}:{lineno}: text after 'relations:' in {line!r}")
             in_relations = True
             continue
         if not in_relations:
@@ -341,7 +343,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             return report, EXIT_ORDER_FOUR
         _load("embedding")
         sig = build_embedding(canonical_decomposition(pres), args.free_mode).signature
-    elif args.signature:
+    elif args.signature is not None:
         sig = parse_signature_text(args.signature, args.free_mode)
     else:
         default = SHIPPED_SAMPLES["demo-default"].signature

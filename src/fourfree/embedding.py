@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .ambient import RATIONAL, AmbientElement, AmbientSignature, element, record, zero
+from .ambient import RATIONAL, AmbientElement, AmbientSignature, element, zero
+from .arith import describe_fields, record
 from .presentation import CanonicalDecomposition, has_order_four
 
 __all__ = ["EmbeddingMap", "OrderFourPresent", "build_embedding", "embed"]
@@ -32,11 +33,8 @@ class EmbeddingMap:
     generator_images: tuple[AmbientElement, ...]
 
     def describe(self) -> dict:
-        return {
-            "decomposition": self.decomposition.describe(),
-            "signature": self.signature.describe(),
-            "generator_images": [g.canonical_text() for g in self.generator_images],
-        }
+        images = [g.canonical_text() for g in self.generator_images]
+        return {**describe_fields(self), "generator_images": images}
 
 
 def build_embedding(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .arith import factorize, is_odd_prime, is_prime, record, xgcd
+from .arith import describe_fields, factorize, is_odd_prime, is_prime, record, xgcd
 
 __all__ = [
     "SNFResult",
@@ -203,11 +203,7 @@ class CanonicalDecomposition:
         return len(self.primary_factors) + self.free_rank
 
     def describe(self) -> dict:
-        return {
-            "free_rank": self.free_rank,
-            "primary_factors": [[p, e] for p, e in self.primary_factors],
-            "torsion_order": self.torsion_order,
-        }
+        return {**describe_fields(self), "torsion_order": self.torsion_order}
 
 
 def canonical_decomposition(pres: Presentation) -> CanonicalDecomposition:

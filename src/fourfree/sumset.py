@@ -23,7 +23,7 @@ import math
 from collections.abc import Sequence
 from itertools import product
 
-from .arith import DEFAULT_BUDGET, DEFAULT_GROUP_CAP, record, size_text
+from .arith import DEFAULT_BUDGET, DEFAULT_GROUP_CAP, describe_fields, record, size_text
 
 Elem = tuple[int, ...]
 _UNROLL = 16  # terms a kernel writes out per mask, see _kernel
@@ -77,7 +77,7 @@ class FiniteGroupSpec:
         return math.lcm(1, *(n // math.gcd(x, n) for x, n in zip(a, self.orders)))
 
     def describe(self) -> dict:
-        return {"orders": list(self.orders), "size": self.size}
+        return {**describe_fields(self), "size": self.size}
 
 
 # -- order-4 obstruction demo ---------------------------------------------
@@ -132,15 +132,7 @@ class ObstructionDemo:
     witness_count: int
     transcript: tuple[str, ...]
 
-    def describe(self) -> dict:
-        return {
-            "group": self.group.describe(),
-            "witness": None if self.witness is None else [list(self.witness[0]), list(self.witness[1])],
-            "doubles": None if self.doubles is None else [list(self.doubles[0]), list(self.doubles[1])],
-            "difference_order": self.difference_order,
-            "witness_count": self.witness_count,
-            "transcript": list(self.transcript),
-        }
+    describe = describe_fields
 
 
 def order4_obstruction_demo(orders: Sequence[int] = (4, 4)) -> ObstructionDemo:
@@ -240,13 +232,7 @@ class SearchResult(_Witnessed):
     nodes: int
 
     def describe(self) -> dict:
-        return {
-            "group": self.group.describe(),
-            "colours": self.colours,
-            "verdict": self.verdict,
-            "witness": self.witness_json(),
-            "nodes": self.nodes,
-        }
+        return {**describe_fields(self), "witness": self.witness_json()}
 
 
 @functools.lru_cache(maxsize=1)

@@ -48,7 +48,7 @@ from .ambient import (
     AmbientSignature,
     SignatureMismatch,
 )
-from .arith import DEFAULT_SAMPLE_CAP, record, size_text
+from .arith import DEFAULT_SAMPLE_CAP, describe_fields, record, size_text
 from .colouring import Colour, colour, colour_encode, reads_layers
 
 __all__ = [
@@ -122,16 +122,7 @@ class SampleSpec:
         size = math.prod(p**self.prufer_depth for p in sig.prufer_factors)
         return size * 2**sig.s * (self.q_box_size() ** sig.r if sig.r else 1)
 
-    def describe(self) -> dict:
-        return {
-            "signature": self.signature.describe(),
-            "prufer_depth": self.prufer_depth,
-            "q_numerator_bound": self.q_numerator_bound,
-            "q_denominator_bound": self.q_denominator_bound,
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-        }
+    describe = describe_fields
 
 
 def _coprime_pairs(b: int, d: int) -> int:

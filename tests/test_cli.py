@@ -48,7 +48,7 @@ M89_FILE = f"generators: 1\nrelations:\n{2**89 - 1}\n"
 class TestPresentationParsing:
     def test_parses_comments_and_blanks(self):
         pres = parse_presentation_text(
-            "# a comment\n\ngenerators: 2\nrelations:\n2 0  # trailing\n0 6\n"
+            "# a comment\n\ngenerators: 2\nrelations:  # rows follow\n2 0  # trailing\n0 6\n"
         )
         assert pres == Presentation(2, ((2, 0), (0, 6)))
 
@@ -76,6 +76,19 @@ class TestPresentationParsing:
         path = write(tmp_path / "g.pres", text)
         assert main(["analyze", "--input", path]) == EXIT_IO
         assert capsys.readouterr().err.endswith(f":{lineno}: repeated '{header}' line\n")
+
+    @pytest.mark.parametrize("text", [
+        "generators: 2\nrelations: 2 0\n0 6\n",
+        "generators: 2\nrelations:2 0\n0 6\n",
+        "generators: 2\nrelations: z\n",
+    ], ids=["row", "row-no-space", "word"])
+    def test_text_after_relations_header_reports_line(self, text, tmp_path, capsys):
+        with pytest.raises(cli.CliError, match="^f:2: text after 'relations:'") as err:
+            parse_presentation_text(text, source="f")
+        assert err.value.code == EXIT_IO
+        path = write(tmp_path / "g.pres", text)
+        assert main(["analyze", "--input", path]) == EXIT_IO
+        assert ":2: text after 'relations:'" in capsys.readouterr().err
 
     def test_signature_text(self):
         sig = parse_signature_text("prufer=3,5;s=2;r=1")
@@ -190,6 +203,17 @@ class TestVerify:
         assert report["triple_report"]["distinct"] == 180
         assert report["coset_report"]["ok"] is True
         assert report["config"]["resolved_signature"]["prufer_factors"] == [3, 5]
+
+    def test_empty_signature_is_the_trivial_group(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--signature", "", "--output", str(out)]) == EXIT_OK
+        config = json.loads(out.read_text())["config"]
+        assert config["signature"] == ""
+        assert config["resolved_signature"] == {
+            "prufer_factors": [], "s": 0, "r": 0, "free_mode": "rational"
+        }
+        report = json.loads(out.read_text())["triple_report"]
+        assert (report["distinct"], report["pairs"], report["n_violations"]) == (1, 0, 0)
 
     def test_drop_layer_finds_violations(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -5,6 +5,7 @@ Each of the package's record classes must behave as the
 embed ``repr(Profile(...))`` in colour keys), the same hash (set and dict
 order of colour keys follow it), equality within one class only, frozen
 fields, keyword construction with the same defaults, and ``__post_init__``.
+A record's report block is its own fields, written by ``arith.describe_fields``.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from fourfree.ambient import AmbientElement, AmbientSignature, Profile, element
+from fourfree.arith import describe_fields, record
 from fourfree.colouring import Colour, colour
 from fourfree.embedding import EmbeddingMap, build_embedding
 from fourfree.presentation import (
@@ -170,3 +172,48 @@ def test_post_init_normalises_fields():
     assert Presentation(1, [[2]]).relations == ((2,),)
     assert CanonicalDecomposition(0, [(5, 1), (3, 2)]).primary_factors == ((3, 2), (5, 1))
     assert Sample.of([A]).text(Sample.of([A]).codes[0]) == A.canonical_text()
+
+
+@record
+class _Leaf:
+    value: int
+
+    def describe(self):
+        return {"leaf": self.value}
+
+
+class _Base:
+    tag: str = "a base class's annotation is not a field"
+
+
+@record
+class _Node(_Base):
+    name: str
+    leaf: _Leaf
+    rows: tuple = ()
+    missing: object = None
+
+
+def test_describe_fields():
+    node = _Node("n", _Leaf(1), ((1, _Leaf(2)), ()))
+    block = describe_fields(node)
+    assert block == {"name": "n", "leaf": {"leaf": 1}, "rows": [[1, {"leaf": 2}], []], "missing": None}
+    assert list(block) == ["name", "leaf", "rows", "missing"]
+
+
+# the key each report block adds or re-renders on top of describe_fields, or None
+DESCRIBED = {
+    AmbientSignature: None, SampleSpec: None, ObstructionDemo: None,
+    FiniteGroupSpec: "size", CanonicalDecomposition: "torsion_order",
+    EmbeddingMap: "generator_images", SearchResult: "witness",
+}
+
+
+@pytest.mark.parametrize("obj", [o for o in instances() if type(o) in DESCRIBED],
+                         ids=[cls.__name__ for cls in RECORDS if cls in DESCRIBED])
+def test_report_block_is_the_fields(obj):
+    key = DESCRIBED[type(obj)]
+    block, fields = obj.describe(), describe_fields(obj)
+    assert (type(obj).describe is describe_fields) == (key is None)
+    assert list(block) == names(type(obj)) + ([key] if key and key not in fields else [])
+    assert {k: v for k, v in block.items() if k != key} == {k: v for k, v in fields.items() if k != key}
