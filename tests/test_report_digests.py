@@ -44,7 +44,9 @@ CASES = {
     **{f"verify-{name}": ["verify", *window_flags(spec)] for name, spec in SHIPPED_SAMPLES.items()},
     **{
         f"verify-{name}-drop-{layer}": ["verify", *window_flags(SHIPPED_SAMPLES[name]), "--drop-layer", layer]
-        for name, layer in (("d-layer", "d"), ("y-layer", "y"), ("t-block", "halvable"))
+        for name, layer in (("d-layer", "d"), ("y-layer", "y"), ("t-block", "halvable"),
+                            # reports of many write batches (depth-two) and of just over one (demo-default)
+                            ("depth-two", "halvable"), ("demo-default", "halvable"))
     },
     # the benchmark's search cases
     "search-4,4-min": ["search", "--group", "4,4", "--min-colours"],
@@ -81,6 +83,8 @@ DIGESTS = {
     "verify-d-layer-drop-d": "60843e62eadb99d4d8635302aa09bef118ec1259c6e027f683ad0ef81c1c1e5b",
     "verify-y-layer-drop-y": "bc92c5325d08ee040d242c46153b47f944125c01ebf1b5d542ff5f8010271f88",
     "verify-t-block-drop-halvable": "62a01352c2582745eabca98b124d18bc5626af90864c7cbbe5107f96068cac5b",
+    "verify-depth-two-drop-halvable": "f15f27607ac61a4fd10f08fc32a48b88208680113600fa74a922fcd59ae824e4",
+    "verify-demo-default-drop-halvable": "f4e3d7069e60135ef7c995824b2c1005ed1e84b7942b65d69ef8bba474f869ec",
     "search-4,4-min": "7accd8b37817c56ad665747b631e95140cb829b7232a73affaedaed2795e1490",
     "search-16-min": "4f3b05d211d6af505a2dc70e38552d7e51bde0860f08fb70b566d413d41ac543",
     "search-27-min": "debc5675979f2c731c48862806389b3ec3ee2210604bb69a3b0429c6b05599c4",
