@@ -50,6 +50,7 @@ import stat
 import sys
 import time
 from collections.abc import Sequence
+from itertools import islice
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -209,21 +210,26 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 # -- output ----------------------------------------------------------------
 
 
+# Reports are fresh describe() trees, which hold no cycles, so no cycle check.
+_ENCODER = json.JSONEncoder(indent=2, check_circular=False)
+_BATCH = 4096  # encoder chunks per file write
+
+
 def _emit(report: dict, output: str | None) -> None:
     """Write ``report`` as JSON to ``output``, or to stdout when it is empty,
-    whole or not at all.
+    whole or not at all, from the one module-level encoder.
 
-    A regular file (a symlink's target) is streamed under a temporary name in
-    its directory and renamed into place with the old file's mode; the
-    directory must be writable.  Stdout, or a device or pipe such as
-    /dev/null, gets the document only once it has serialised completely.  A
-    report that cannot be serialised (an int past Python's int->str digit
-    limit) is an I/O failure like an unwritable path.
+    A regular file (a symlink's target) is written in batches of encoder
+    chunks under a temporary name in its directory and renamed into place
+    with the old file's mode; the directory must be writable.  Stdout, or a
+    device or pipe such as /dev/null, gets the document only once it has
+    serialised completely.  A report that cannot be serialised (an int past
+    Python's int->str digit limit) is an I/O failure like an unwritable path.
     """
     try:
         target = os.path.realpath(output) if output else None  # a symlink is written through
         if target is None or (os.path.exists(target) and not os.path.isfile(target)):
-            text = json.dumps(report, indent=2) + "\n"
+            text = _ENCODER.encode(report) + "\n"
             if target is None:
                 sys.stdout.write(text)
             else:
@@ -234,7 +240,9 @@ def _emit(report: dict, output: str | None) -> None:
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
+                chunks = _ENCODER.iterencode(report)
+                for batch in iter(lambda: list(islice(chunks, _BATCH)), []):
+                    fh.write("".join(batch))
                 fh.write("\n")
             if os.path.isfile(target):
                 os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))

@@ -30,7 +30,9 @@ as the unexpanded product of its parts, a list by :meth:`Sample.of`.  An
 colour names a violating bucket, and only that colour text calls the
 colouring, which declares the layers the sweep compares with
 :func:`~fourfree.colouring.reads_layers`; :meth:`Sample.text` writes element
-text from per-part caches of strings.
+text from per-part caches of strings, and :meth:`Sample.coset_texts` writes a
+violating bucket's cosets, joining each coset's shared d and q texts once and
+varying only the t text.
 """
 
 from __future__ import annotations
@@ -247,7 +249,8 @@ class Sample(abc.Sequence):
     As a read-only sequence the sample yields its elements: :meth:`element`
     decodes a code on demand, and equal parts of different elements are
     decoded once and shared; :meth:`text` joins a code's canonical text from
-    texts written once per distinct part.
+    texts written once per distinct part, and :meth:`coset_texts` the texts of
+    a coset of the order-2 block.
     """
 
     signature: AmbientSignature | None
@@ -292,6 +295,12 @@ class Sample(abc.Sequence):
     def text(self, code: _Code) -> str:
         """``self.element(code).canonical_text()``, joined from its cached part texts."""
         return ";".join(map(self._texts, range(3), code))
+
+    def coset_texts(self, d: tuple[int, ...], q: tuple[int, ...], ts) -> dict[int, str]:
+        """``{t: self.text((d, t, q)) for t in ts}``, with the coset's d and q
+        texts joined once and only the t text varied per element."""
+        head, tail = self._texts(0, d) + ";", ";" + self._texts(2, q)
+        return {t: head + self._texts(1, t) + tail for t in ts}
 
     def _part_text(self, k: int, part) -> str:
         """Part k of the text of the element with this part and zero elsewhere;
@@ -464,7 +473,7 @@ def find_mono_triples(
             double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
             key = colour_fn(s.element(double))
             key_text = colour_encode(key) if isinstance(key, Colour) else repr(key)
-            texts = [{t: s.text((d, t, q)) for t in ts} for d, q, ts in cosets]
+            texts = [s.coset_texts(d, q, ts) for d, q, ts in cosets]
             for a, b in ((texts[i], texts[j]) for i, j in hits):
                 if a is b:
                     pairs = combinations(a.values(), 2)

@@ -372,6 +372,30 @@ def test_unserialisable_report_leaves_stdout_empty(tmp_path, capsys):
     assert err.startswith("error: cannot write report: ") and len(err.splitlines()) == 1
 
 
+def test_report_failing_after_a_written_batch_leaves_the_target_alone(tmp_path):
+    # each list item is one encoder chunk, so the int past Python's int->str
+    # digit limit is reached only after a first batch has been written
+    items = list(range(2 * cli._BATCH))
+    assert sum(1 for _ in cli._ENCODER.iterencode(items)) > cli._BATCH
+    out = write(tmp_path / "r.json", "old report\n")
+    with pytest.raises(cli.CliError) as raised:
+        cli._emit({"items": items, "big": 10**5_000}, out)
+    assert raised.value.code == EXIT_IO and str(raised.value).startswith(f"cannot write {out}: ")
+    assert (tmp_path / "r.json").read_bytes() == b"old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_multi_batch_report_writes_the_same_bytes_to_file_and_stdout(tmp_path, capsys):
+    report = {"rows": [{"a": f"x\u00e9{i}", "n": i, "f": i / 7, "ok": i % 2 == 0, "none": None}
+                       for i in range(1_000)], "empty": [{}, []]}
+    assert sum(1 for _ in cli._ENCODER.iterencode(report)) > 2 * cli._BATCH
+    out = tmp_path / "r.json"
+    cli._emit(report, str(out))
+    cli._emit(report, None)
+    text = json.dumps(report, indent=2) + "\n"
+    assert out.read_bytes() == capsys.readouterr().out.encode() == text.encode()
+
+
 def test_main_is_the_only_report_writer():
     """``_emit`` is called once in the CLI, from ``main``; no ``cmd_*`` writes its own report."""
 

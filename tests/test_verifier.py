@@ -621,8 +621,17 @@ class TestCodedSample:
         assert len({id(a.q) for a in sample}) == 7
 
     @staticmethod
-    def assert_texts_match(sample):
+    def assert_coset_texts_match(sample):
+        """``coset_texts`` agrees with ``text`` on every coset of the order-2 block."""
+        cosets: dict = {}
+        for d, t, q in sample.codes:
+            cosets.setdefault((d, q), []).append(t)
+        for (d, q), ts in cosets.items():
+            assert sample.coset_texts(d, q, ts) == {t: sample.text((d, t, q)) for t in ts}
+
+    def assert_texts_match(self, sample):
         assert [sample.text(code) for code in sample.codes] == [a.canonical_text() for a in sample]
+        self.assert_coset_texts_match(sample)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_SAMPLES))
     def test_text_matches_canonical_text(self, name):
@@ -645,25 +654,34 @@ class TestCodedSample:
         ]
         sample = Sample.of(elements)
         assert [sample.text(code) for code in sample.codes] == [a.canonical_text() for a in elements]
+        self.assert_coset_texts_match(sample)
 
     def test_text_of_invalid_code_raises_like_element(self):
-        # 1/5 is no Pruefer coordinate at a factor of prime 3
-        sample = Sample(AmbientSignature((3,), 0, 0), 5, 1, (((1,), 0, ()),))
-        with pytest.raises(ValueError) as from_element:
-            sample.element(sample.codes[0])
-        with pytest.raises(ValueError) as from_text:
-            sample.text(sample.codes[0])
-        assert str(from_text.value) == str(from_element.value) == (
-            "coordinate 1/5 at index 0 needs a power of 3 as denominator"
-        )
-        assert type(from_text.value) is type(from_element.value)
+        invalid = [
+            # 1/5 is no Pruefer coordinate at a factor of prime 3
+            (Sample(AmbientSignature((3,), 0, 0), 5, 1, (((1,), 0, ()),)),
+             "coordinate 1/5 at index 0 needs a power of 3 as denominator"),
+            # 1/2 is no free coordinate in integer free mode
+            (Sample(AmbientSignature((), 1, 1, free_mode=INTEGER), 1, 2, (((), 1, (1,)),)),
+             "free coordinate 1/2 is not an integer"),
+        ]
+        for sample, message in invalid:
+            (d, t, q), = sample.codes
+            with pytest.raises(ValueError) as from_element:
+                sample.element((d, t, q))
+            with pytest.raises(ValueError) as from_text:
+                sample.text((d, t, q))
+            with pytest.raises(ValueError) as from_coset_texts:
+                sample.coset_texts(d, q, [t])
+            assert str(from_coset_texts.value) == str(from_text.value) == str(from_element.value) == message
+            assert type(from_coset_texts.value) is type(from_text.value) is type(from_element.value)
 
     @pytest.mark.parametrize("fn", [find_mono_triples, check_coset_uniqueness])
     def test_report_text_comes_from_sample_text(self, fn):
-        """Element text in a report is joined by Sample.text from per-part texts,
-        never written element by element with canonical_text."""
+        """Element text in a report is joined by Sample.text or Sample.coset_texts
+        from per-part texts, never written element by element with canonical_text."""
         names = {
             getattr(node, "attr", getattr(node, "id", None))
             for node in ast.walk(ast.parse(inspect.getsource(fn)))
         }
-        assert "canonical_text" not in names and "text" in names
+        assert "canonical_text" not in names and names & {"text", "coset_texts"}
