@@ -296,7 +296,7 @@ class Sample(abc.Sequence):
         """``self.element(code).canonical_text()``, joined from its cached part texts."""
         return ";".join(map(self._texts, range(3), code))
 
-    def coset_texts(self, d: tuple[int, ...], q: tuple[int, ...], ts) -> dict[int, str]:
+    def coset_texts(self, d: tuple[int, ...], q: tuple[int, ...], ts: abc.Iterable[int]) -> dict[int, str]:
         """``{t: self.text((d, t, q)) for t in ts}``, with the coset's d and q
         texts joined once and only the t text varied per element."""
         head, tail = self._texts(0, d) + ";", ";" + self._texts(2, q)
