@@ -359,15 +359,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     config["resolved_signature"] = sig.describe()
 
     try:
-        spec = SampleSpec(
-            sig,
-            prufer_depth=args.prufer_depth,
-            q_numerator_bound=args.q_bound,
-            q_denominator_bound=args.q_den_bound,
-            mode=args.mode,
-            count=args.count,
-            seed=args.seed,
-        )
+        spec = SampleSpec(sig, prufer_depth=args.prufer_depth, q_numerator_bound=args.q_bound,
+                          q_denominator_bound=args.q_den_bound)
     except ValueError as exc:
         raise CliError(f"bad sample window: {exc}")
     try:
@@ -491,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prufer-depth", type=int, default=1)
     p.add_argument("--q-bound", type=int, default=1, help="free numerator bound")
     p.add_argument("--q-den-bound", type=int, default=1, help="free denominator bound")
-    p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    p.add_argument("--count", type=int, default=1000, help="random-mode sample size")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_SAMPLE_CAP)
     p.add_argument("--drop-layer", choices=sorted(DROPPED_LAYERS), default=None,
                    help="diagnostic: drop one colour layer")

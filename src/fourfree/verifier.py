@@ -1,4 +1,4 @@
-"""Exhaustive and randomized sweeps for the no-monochromatic-triple property.
+"""Exhaustive sweeps for the no-monochromatic-triple property.
 
 A :class:`SampleSpec` describes a finite window onto an infinite ambient
 group: Pruefer coordinates up to a depth, free coordinates in a bounded
@@ -23,22 +23,20 @@ denominator, so the tuple of nonzero numerators of a block is its profile,
 and halvability is t == 0 (and, in integer free mode, every free code even).
 The d and y layers of 2a and of a+b read only the d and q parts of a and b,
 so a bucket is a list of cosets (d, q, ts) of the order-2 block, and the scan
-decides each pair of cosets once (see :func:`find_mono_triples`).  Random
-draws are coded straight from the :class:`SampleSpec`, an exhaustive window
-as the unexpanded product of its parts, a list by :meth:`Sample.of`.  An
-:class:`~fourfree.ambient.AmbientElement` is built only for the double whose
-colour names a violating bucket, and only that colour text calls the
-colouring, which declares the layers the sweep compares with
-:func:`~fourfree.colouring.reads_layers`; :meth:`Sample.text` writes element
-text from per-part caches of strings, and :meth:`Sample.coset_texts` writes a
-violating bucket's cosets, joining each coset's shared d and q texts once and
-varying only the t text.
+decides each pair of cosets once (see :func:`find_mono_triples`).  A window
+is coded as the unexpanded product of its parts, a list by
+:meth:`Sample.of`.  An :class:`~fourfree.ambient.AmbientElement` is built
+only for the double whose colour names a violating bucket, and only that
+colour text calls the colouring, which declares the layers the sweep
+compares with :func:`~fourfree.colouring.reads_layers`; :meth:`Sample.text`
+writes element text from per-part caches of strings, and
+:meth:`Sample.coset_texts` writes a violating bucket's cosets, joining each
+coset's shared d and q texts once and varying only the t text.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import abc
 from functools import cache
 from fractions import Fraction
@@ -75,29 +73,20 @@ class SampleCapExceeded(ValueError):
 class SampleSpec:
     """Finite sampling window for one ambient signature.
 
-    Exhaustive mode enumerates, exactly once each, all elements whose
-    Pruefer coordinate at a factor of prime p has denominator <= p^depth and
-    whose free coordinates are reduced fractions n/m with |n| <= numerator
-    bound and 1 <= m <= denominator bound (integers |n| <= bound in integer
-    free mode).  Random mode draws ``count`` elements uniformly from the same
-    box, reproducibly from ``seed``.
+    The window holds, once each, the elements whose Pruefer coordinate at a
+    factor of prime p has denominator <= p^depth and whose free coordinates
+    are reduced fractions n/m with |n| <= numerator bound and 1 <= m <=
+    denominator bound (integers |n| <= bound in integer free mode).
     """
 
     signature: AmbientSignature
     prufer_depth: int = 1
     q_numerator_bound: int = 1
     q_denominator_bound: int = 1
-    mode: str = "exhaustive"
-    count: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.prufer_depth < 1 or self.q_numerator_bound < 1 or self.q_denominator_bound < 1:
             raise ValueError("sample bounds must be positive")
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown sample mode {self.mode!r}")
-        if self.mode == "random" and self.count < 1:
-            raise ValueError("random mode needs a positive count")
 
     @property
     def q_den_bound(self) -> int:
@@ -166,15 +155,14 @@ _COUNT_BOX = 10**6
 
 def _check_cap(spec: SampleSpec, cap: int) -> None:
     """Raise :class:`SampleCapExceeded` if ``spec`` yields more than ``cap``
-    elements, draws from a window of more than 2^_COUNT_BITS elements, or
-    draws from a free-coordinate box of more than ``cap`` values.
+    elements.  A window with free coordinates is at least as large as its
+    free-coordinate box, so the box is bounded too.
 
     Every base of the window's size is at least 2 (p >= 3, 2 per t bit, at
     least 3 box values), so it holds at least 2^floor elements, and a box with
     bounds b, d at least 2 max(b, d) + 1 values.  A size costly to count is
-    left uncounted when its lower bound already exceeds the cap.  Random mode
-    computes p**depth and draws s + r coordinates per element, so its floor
-    is bounded as well.  A negative cap is a ``ValueError``.
+    left uncounted when its lower bound already exceeds the cap.  A negative
+    cap is a ``ValueError``.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -184,25 +172,12 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
     box_floor = (2 * max(b, d) + 1).bit_length() - 1
     box_cheap = not sig.r or min(b, d) <= _COUNT_BOX
     floor = len(sig.prufer_factors) * spec.prufer_depth + sig.s + sig.r * box_floor
-    if spec.mode == "exhaustive":
-        cheap = box_cheap and floor <= _COUNT_BITS
-        total = spec.cardinality() if cheap or floor < cap.bit_length() else None
-        if total is None or total > cap:
-            raise SampleCapExceeded(
-                f"exhaustive sample has {size_text(total, floor)} elements, cap is {cap}"
-            )
-    elif spec.count > cap:
-        raise SampleCapExceeded(f"random sample has {size_text(spec.count)} elements, cap is {cap}")
-    elif floor > _COUNT_BITS:
+    cheap = box_cheap and floor <= _COUNT_BITS
+    total = spec.cardinality() if cheap or floor < cap.bit_length() else None
+    if total is None or total > cap:
         raise SampleCapExceeded(
-            f"random sample draws from at least 2^{floor} elements, limit is 2^{_COUNT_BITS}"
+            f"exhaustive sample has {size_text(total, floor)} elements, cap is {cap}"
         )
-    if sig.r:
-        box = spec.q_box_size() if box_cheap or box_floor < cap.bit_length() else None
-        if box is None or box > cap:
-            raise SampleCapExceeded(
-                f"free-coordinate box has {size_text(box, box_floor)} values, cap is {cap}"
-            )
 
 
 _Code = tuple[tuple[int, ...], int, tuple[int, ...]]
@@ -240,11 +215,13 @@ class _Product(abc.Sequence):
 class Sample(abc.Sequence):
     """A window of ambient elements, held as integer codes (d, t, q).
 
-    ``codes`` keeps the draw order, duplicates included (an exhaustive window's
-    codes are its parts' product).  d is the dense tuple of Pruefer numerators
-    over ``M``, t the order-2 bits as a mask with the first bit highest, q the
-    free numerators over ``L`` (1 in integer free mode, so a code's parity is
-    its value's).  Distinct elements of the signature have distinct codes.
+    ``codes`` keeps the list order, duplicates included (a window's codes are
+    its parts' product).  d is the dense tuple of Pruefer numerators over
+    ``M``, t the order-2 bits as a mask with the first bit highest, q the free
+    numerators over ``L`` (1 in integer free mode, so a code's parity is its
+    value's).  Distinct elements of the signature have distinct codes, and a
+    part that names no element (a t mask outside [0, 2^s) too) raises
+    ``ValueError`` when it is decoded.
     Two samples are equal when their signatures, ``M``, ``L`` and codes are.
     As a read-only sequence the sample yields its elements: :meth:`element`
     decodes a code on demand, and equal parts of different elements are
@@ -261,8 +238,14 @@ class Sample(abc.Sequence):
     def __post_init__(self):
         sig, M, L = self.signature, self.M, self.L
         set_ = object.__setattr__
+
+        def t_bits(t: int) -> tuple[int, ...]:
+            if not 0 <= t < 1 << sig.s:
+                raise ValueError(f"t mask {t} is not a mask of {sig.s} bits")
+            return tuple((t >> k) & 1 for k in reversed(range(sig.s)))
+
         set_(self, "_d", cache(lambda d: tuple((i, Fraction(x, M)) for i, x in enumerate(d) if x)))
-        set_(self, "_t", cache(lambda t: tuple((t >> k) & 1 for k in reversed(range(sig.s)))))
+        set_(self, "_t", cache(t_bits))
         set_(self, "_q", cache(lambda q: tuple(Fraction(v, L) for v in q)))
         set_(self, "_texts", cache(self._part_text))
 
@@ -324,14 +307,11 @@ class Sample(abc.Sequence):
 def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
     """The sample described by ``spec``, coded straight from it.
 
-    Exhaustive mode yields each element of the box once, as the product of
-    its d codes, t masks and q codes; random mode yields ``count`` uniform
-    draws (duplicates possible), reproducible from the seed with a fixed draw
-    order (Pruefer coordinates by index, then t bits, then free coordinates).
-    Either mode checks ``cap`` (see :func:`_check_cap`) before building
-    anything, and builds the box only when free coordinates are drawn.  M is
-    the lcm of the p**depth and L the lcm of the box's denominators, so every
-    code of the window is integral.
+    Each element of the box is yielded once, as the product of its d codes,
+    t masks and q codes.  ``cap`` is checked (see :func:`_check_cap`) before
+    anything is built, and the box is built only when there are free
+    coordinates.  M is the lcm of the p**depth and L the lcm of the box's
+    denominators, so every code of the window is integral.
     """
     _check_cap(spec, cap)
     sig = spec.signature
@@ -339,25 +319,9 @@ def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
     M = math.lcm(*depth_orders)
     box = spec.q_values() if sig.r else ()
     L = math.lcm(*{v.denominator for v in box})
-
-    def q_code(v: Fraction) -> int:
-        return v.numerator * (L // v.denominator)
-
-    if spec.mode == "exhaustive":
-        d_codes = tuple(product(*(range(0, M, M // n) for n in depth_orders)))
-        q_codes = tuple(product([q_code(v) for v in box], repeat=sig.r))
-        return Sample(sig, M, L, _Product(d_codes, tuple(range(2**sig.s)), q_codes))
-
-    rng = random.Random(spec.seed)
-    steps = [(n, M // n) for n in depth_orders]
-    codes = []
-    for _ in range(spec.count):
-        d = tuple([rng.randrange(n) * step for n, step in steps])
-        t = 0
-        for _ in range(sig.s):
-            t = t << 1 | rng.randrange(2)
-        codes.append((d, t, tuple([q_code(box[rng.randrange(len(box))]) for _ in range(sig.r)])))
-    return Sample(sig, M, L, tuple(codes))
+    d_codes = tuple(product(*(range(0, M, M // n) for n in depth_orders)))
+    q_codes = tuple(product([v.numerator * (L // v.denominator) for v in box], repeat=sig.r))
+    return Sample(sig, M, L, _Product(d_codes, tuple(range(2**sig.s)), q_codes))
 
 
 @reads_layers()

@@ -242,10 +242,6 @@ class TestVerify:
         assert main(["verify", "--parallel", "2"]) == EXIT_IO
         assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
 
-    def test_cap_applies_in_random_mode(self, capsys):
-        code = main(["verify", "--mode", "random", "--count", "5", "--cap", "1"])
-        assert code == EXIT_BUDGET
-
     def test_huge_q_box_exceeds_cap_promptly(self, capsys):
         start = time.perf_counter()
         assert main(["verify", "--q-bound", "100000000"]) == EXIT_BUDGET
@@ -270,15 +266,6 @@ class TestVerify:
         assert result.returncode == EXIT_OK
         assert json.loads(result.stdout)["triple_report"]["distinct"] == 6
 
-    def test_random_mode_q_box_over_cap_exits_before_building_it(self, capsys):
-        start = time.perf_counter()
-        argv = ["verify", "--mode", "random", "--count", "5",
-                "--q-bound", "200000", "--q-den-bound", "2"]
-        assert main(argv) == EXIT_BUDGET
-        assert time.perf_counter() - start < 2.0
-        report = json.loads(capsys.readouterr().out)
-        assert report["error"] == "free-coordinate box has 600001 values, cap is 100000"
-
     def test_summary_names_evaluated_and_nominal_pairs(self, capsys):
         assert main(["verify"]) == EXIT_OK
         err = capsys.readouterr().err
@@ -286,24 +273,27 @@ class TestVerify:
         assert "of 16110 nominal pairs over 180 elements: 0 violations" in err
 
     def test_reports_reproducible(self, tmp_path, capsys):
-        args = ["verify", "--signature", "prufer=3;s=1;r=1", "--mode", "random",
-                "--count", "800", "--seed", "5", "--q-bound", "2"]
+        args = ["verify", "--signature", "prufer=3;s=1;r=1", "--prufer-depth", "2", "--q-bound", "2",
+                "--drop-layer", "halvable"]
         outs = []
         for i in range(2):
             out = tmp_path / f"r{i}.json"
-            assert main(args + ["--output", str(out)]) == EXIT_OK
+            assert main(args + ["--output", str(out)]) == EXIT_VIOLATIONS
             outs.append(json.dumps(strip_timing(json.loads(out.read_text())), sort_keys=True))
         assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--prufer-depth", "0"],
-    ["verify", "--mode", "random", "--count", "0"],
+    ["verify", "--mode", "random"],
     ["search", "--group", "1", "--colours", "2"],
     ["search", "--colours", "0"],
     ["demo", "--group", "1"],
     ["verify", "--input", "z2_z6.pres", "--signature", "s=1"],
     ["search", "--group", "4", "--colours", "2", "--min-colours"],
+    # the flags of the removed random sampling mode
+    ["verify", "--count", "5"],
+    ["verify", "--seed", "1"],
 ])
 def test_bad_flag_is_input_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -322,12 +312,9 @@ GROUP_OF_15000_TWOS = ",".join(["2"] * 15_000)
     ["verify", "--signature", "prufer=;s=0;r=3000000", "--q-bound", "2"],
     ["verify", "--prufer-depth", "1000000000"],
     ["verify", "--q-bound", "100000000000000", "--q-den-bound", "100000000000000"],
-    ["verify", "--mode", "random", "--count", "1", "--prufer-depth", "1000000000"],
-    ["verify", "--mode", "random", "--count", "2", "--signature", "prufer=;s=300000000;r=0"],
     ["demo", "--group", GROUP_OF_15000_TWOS],
     ["search", "--group", GROUP_OF_15000_TWOS, "--colours", "2"],
-], ids=["depth-5000", "s-3e8", "r-3e6", "depth-1e9", "q-box-1e14", "random-depth-1e9", "random-s-3e8",
-        "demo-2^15000", "search-2^15000"])
+], ids=["depth-5000", "s-3e8", "r-3e6", "depth-1e9", "q-box-1e14", "demo-2^15000", "search-2^15000"])
 def test_oversized_knob_is_budget_exit(argv):
     # a subprocess with a timeout, so that a size computed before it is
     # bounded fails the test instead of hanging it
@@ -340,8 +327,7 @@ def test_oversized_knob_is_budget_exit(argv):
     assert result.returncode == EXIT_BUDGET
     if argv[0] == "verify":
         assert result.stderr == ""
-        mode = "random sample draws from" if "random" in argv else "exhaustive sample has"
-        assert json.loads(result.stdout)["error"].startswith(f"{mode} at least 2^")
+        assert json.loads(result.stdout)["error"].startswith("exhaustive sample has at least 2^")
     else:
         assert result.stderr == "error: group size at least 2^15000 exceeds cap 4096\n"
 
@@ -443,10 +429,9 @@ def test_documented_exit_code_without_traceback(argv, code, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--signature", "prufer=3;s=1;r=1", "--cap", "-5"],
-    ["verify", "--mode", "random", "--count", "3", "--cap", "-5"],
     ["search", "--group", "4", "--colours", "2", "--cap", "-1"],
     ["search", "--group", "4", "--min-colours", "--cap", "-1"],
-], ids=["verify", "verify-random", "search", "search-min-colours"])
+], ids=["verify", "search", "search-min-colours"])
 def test_negative_cap_is_usage_error(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     result = subprocess.run(
@@ -522,10 +507,9 @@ def test_config_echoes_every_flag_but_output(tmp_path, capsys):
     cases = [
         (["analyze", "--input", pres], {"subcommand": "analyze", "input": pres}),
         (["embed", "--input", pres], {"subcommand": "embed", "input": pres, "free_mode": "rational"}),
-        (["verify", "--seed", "3"], {
+        (["verify", "--q-den-bound", "3"], {
             "subcommand": "verify", "input": None, "signature": None, "free_mode": "rational",
-            "prufer_depth": 1, "q_bound": 1, "q_den_bound": 1, "mode": "exhaustive",
-            "count": 1000, "seed": 3, "cap": 100000, "drop_layer": None,
+            "prufer_depth": 1, "q_bound": 1, "q_den_bound": 3, "cap": 100000, "drop_layer": None,
         }),
         (["demo", "--group", "4, 2"], {"subcommand": "demo", "group": [4, 2]}),
         (["search", "--group", "4", "--colours", "1"], {

@@ -141,9 +141,8 @@ class TestParityWithDataclass:
     (Presentation, [2], {}),
     (CanonicalDecomposition, [1], {}),
     (SampleSpec, [SIG], {}),
-    (SampleSpec, [SIG], {"mode": "random", "count": 3}),
 ], ids=["signature", "signature-r", "profile", "element", "presentation", "decomposition",
-        "spec", "spec-random"])
+        "spec"])
 def test_defaults(cls, args, kwargs):
     assert repr(cls(*args, **kwargs)) == repr(twin_class(cls)(*args, **kwargs))
 

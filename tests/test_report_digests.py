@@ -34,9 +34,6 @@ def window_flags(spec) -> list:
         "--prufer-depth", str(spec.prufer_depth),
         "--q-bound", str(spec.q_numerator_bound),
         "--q-den-bound", str(spec.q_denominator_bound),
-        "--mode", spec.mode,
-        "--count", str(spec.count),
-        "--seed", str(spec.seed),
     ]
 
 
@@ -59,8 +56,6 @@ CASES = {
     "demo-3,9": ["demo", "--group", "3,9"],  # no order-4 element: no witness
     "search-4-2": ["search", "--group", "4", "--colours", "2"],
     "search-4-1": ["search", "--group", "4", "--colours", "1"],
-    "verify-random": ["verify", "--signature", "prufer=3;s=1;r=1", "--mode", "random",
-                      "--count", "60", "--seed", "4"],
     "embed-z2_z-integer": ["embed", "--input", "z2_z.pres", "--free-mode", "integer"],
     "colour": ["colour", "--signature", "prufer=3,5;s=2;r=2", "d:{};t:00;q:(0,0)",
                "d:{0=1/9,1=2/5};t:01;q:(0,3/2)", "d:{1=4/25};t:10;q:(-1/2,2)"],
@@ -72,19 +67,19 @@ CASES = {
 }
 
 DIGESTS = {
-    "verify-demo-default": "d37b38218d7a27aa3c2b4ab61cf4c57d2e406322afcb762aa0b0933d49e02694",
-    "verify-depth-two": "5a4eba81d2dd99187f18cff1944268acde18b8f56ea8c2bf03343655b118c27c",
-    "verify-main-sweep": "edddd75a84f51882ddbcd02b0a68efa32f619769d3add4c3f0051356fe96385f",
-    "verify-t-block": "5464a0f8e48e289ac408e81ab6be842577a5d1fe5f39fac99b07ec48874952a6",
-    "verify-d-layer": "285f9afaaf0c77381226e7cf6457ea7bef137b8de66ae7c087f9939604632b7b",
-    "verify-y-layer": "6e5e2bb4818804a18ba6c8bd9b8c545fe98cc86eb3102c950c46173ce026eea0",
-    "verify-odd-square": "83fd8cdc19077102a7134929154aba80c17ea60825aeeeb1913ff45bb8145fea",
-    "verify-integer-free": "daa74afb49d1ad519067954a03aa6569de537fe89ac2c49c1925e3ea2c9faae0",
-    "verify-d-layer-drop-d": "60843e62eadb99d4d8635302aa09bef118ec1259c6e027f683ad0ef81c1c1e5b",
-    "verify-y-layer-drop-y": "bc92c5325d08ee040d242c46153b47f944125c01ebf1b5d542ff5f8010271f88",
-    "verify-t-block-drop-halvable": "62a01352c2582745eabca98b124d18bc5626af90864c7cbbe5107f96068cac5b",
-    "verify-depth-two-drop-halvable": "f15f27607ac61a4fd10f08fc32a48b88208680113600fa74a922fcd59ae824e4",
-    "verify-demo-default-drop-halvable": "f4e3d7069e60135ef7c995824b2c1005ed1e84b7942b65d69ef8bba474f869ec",
+    "verify-demo-default": "8659c3cf74d72f44b8a1cdbcc91c81518038b000a27b40b9c9e0b24f2bb07b3d",
+    "verify-depth-two": "460f28ea78acdbd5b0a7d69c6ffa2861d8233cdaa16ae511ae7f58bb2c30eb8a",
+    "verify-main-sweep": "fc4dfeffebccc589a010b1dd0578178ffce09c64664e7a6e541a2a5e2469f280",
+    "verify-t-block": "3c7e877b6e773191785e4d2b1e24cd157181ff6a5a2681c430341354ee93f550",
+    "verify-d-layer": "b2e7eaf03bf8788860dc12de83951d67ea27b218e7cf59d833ebba6cfa2bd4d7",
+    "verify-y-layer": "97724f904b5a5bb4784f1e47fd9544583c949f1ec6b7cc722d2b8267316f0dfc",
+    "verify-odd-square": "248532e344d91efe8b398f48760156f5169084464a4931dc454494425e566493",
+    "verify-integer-free": "5623411c6289f583a04d1f3189365079696f3b3cba35cd60332191a17631ca02",
+    "verify-d-layer-drop-d": "622d6d765cb1d572e00f966e20bdd3f84c2781d71569cc0caf4df18a152a9d46",
+    "verify-y-layer-drop-y": "f64af8ff8099ae423e636f42b3132f25fea7c03449e8feaaa556ec8e6f35c0c1",
+    "verify-t-block-drop-halvable": "4b53f45108e418fcdfc607bf93d80014e390c6fad44d5d34e2bc90245ae61fbf",
+    "verify-depth-two-drop-halvable": "e23bde37a776162e87629ab9069f4c29ba5e69481703f61fbc56e0d8a596a35b",
+    "verify-demo-default-drop-halvable": "a538ad15e52314936a842167ad61b4d17390b42866b555873856e47f8fbff98f",
     "search-4,4-min": "7accd8b37817c56ad665747b631e95140cb829b7232a73affaedaed2795e1490",
     "search-16-min": "4f3b05d211d6af505a2dc70e38552d7e51bde0860f08fb70b566d413d41ac543",
     "search-27-min": "debc5675979f2c731c48862806389b3ec3ee2210604bb69a3b0429c6b05599c4",
@@ -95,7 +90,6 @@ DIGESTS = {
     "demo-3,9": "9a5606bd9924f460aa94ddd04c225f263d3c5936ac53485f266011a66b9cb3e0",
     "search-4-2": "f92c6d846ea2ccc3d18d2fb7a5debbd4f4b49b5e89d4b18b4e7e3966242e313a",
     "search-4-1": "7f01bec06421b3239df9dd7af20deeec59c6971caf4cbebeed7d1fd1a6193ad5",
-    "verify-random": "6db03c812393d7734bb9f6603923305acd1271231462462c61e92a3310e5e680",
     "embed-z2_z-integer": "12a71a4472105b54f78beafc635d9b24ddc7d5af92f1fde5aa9f6c4b79fb1950",
     "colour": "0c9163256e2289873c18c156e7b361a886782867d5b1674a515380d9c247aff6",
     "analyze-z2_z6": "da986f6c70ac4f79ddb0eadbad8b25a16b93980f9a086723dd4d339d33a962ad",
@@ -104,12 +98,12 @@ DIGESTS = {
     "embed-z2_z6": "b33e97f1a39cdfec96f01942ebb140f998dd948b8169fd0b02fbea8802d4466d",
     "embed-z4": "437941c0ac3c92b794af02938cb74816e286acaded77c15cc9a12ca7102f393e",
     "embed-z3_z5": "6754167fa2f0a8d6af25e95d57acbf434a6f615979869c267ac2e670a358f88e",
-    "verify-z2_z6": "da542b5a9f02dc9f06aa535a335c201c430549702bee1d8bad09ace5adac5be5",
-    "verify-z4": "8ed270e9dbb2a87bbdf44948ab81d4cc9eff1efb4f6f2dd32121d89835c71cb3",
-    "verify-z3_z5": "1fc09fd1e2fb645509223728923dd8b38d3aaf16585e8b217c79dc10d0311027",
+    "verify-z2_z6": "4d7b811f0806c4805d9ccef8c7f8e8d83d11c8b42487dda4e6a606b7b4883433",
+    "verify-z4": "8b1e758aec08e24ffa4aea3584d66aad50692c19fbd380282ad1301e5f534b83",
+    "verify-z3_z5": "5fd5e954fb136ae33d401038fa1d94c721fcdb26a9579206eb4d78e32f2b02ee",
     "analyze-z2_z": "62a3d332447897b3eb89c97a181e9ca1ded62c3af6ef6221e132798bdf6f7221",
     "embed-z2_z": "9ffb150a7143d73b3036c1fa91ef3e310073551e07cce11599df230d2793cdab",
-    "verify-z2_z": "a7af9a096f5a4ead38a509eac5b3e75f84f2eab94f8b78e67c4f59b76c840189",
+    "verify-z2_z": "bbebebf23c25fef5ae92ee5971368a2b63c4a38cbd8fc16cc7d74a059f950a99",
 }
 
 

@@ -1,4 +1,4 @@
-"""Sumset-search tests: mono-pair detection, forced verdicts, min colours."""
+"""Sumset-search tests: mono-pair detection, forced verdicts, min colours, the order-4 demo."""
 
 import ast
 import inspect
@@ -13,7 +13,9 @@ from fourfree.sumset import (
     GroupTooLarge,
     all_colourings_forced,
     find_mono_pair_sumset,
+    find_order4_witness,
     min_colours_avoiding,
+    order4_obstruction_demo,
 )
 
 Z4 = FiniteGroupSpec((4,))
@@ -477,3 +479,65 @@ class TestSearchResultShape:
         assert parsed["verdict"] == "not_forced"
         assert parsed["group"] == {"orders": [4], "size": 4}
         assert parsed["witness"]["[2]"] != parsed["witness"]["[0]"]
+
+
+def order4_pair_scan(group):
+    """Every pair g < h (lex) with 2g != 2h and 2g - 2h of order 2, pair by pair."""
+    elems = group.elements()
+    pairs = []
+    for i, g in enumerate(elems):
+        for h in elems[i + 1 :]:
+            dg, dh = group.double(g), group.double(h)
+            if dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2:
+                pairs.append((g, h))
+    return pairs
+
+
+class TestOrder4Demo:
+    @pytest.mark.parametrize("orders", [
+        (4,), (8,), (16,), (12,), (4, 2), (2, 4), (4, 4), (2, 8), (4, 6), (8, 12),
+        (2, 2, 4), (4, 4, 2), (2, 4, 3),
+    ])
+    def test_matches_pair_scan(self, orders):
+        group = FiniteGroupSpec(orders)
+        pairs = order4_pair_scan(group)
+        demo = order4_obstruction_demo(orders)
+        assert demo.witness_count == len(pairs)
+        assert find_order4_witness(group) == pairs[0]
+        units = [tuple(int(i == j) for j in range(len(orders))) for i in range(len(orders))]
+        featured = [
+            (g, h)
+            for gi, g in enumerate(units)
+            for h in units[gi + 1 :]
+            if (g, h) in pairs or (h, g) in pairs
+        ]
+        assert demo.witness == (featured[0] if featured else pairs[0])
+
+    def test_default_demo_features_generator_pair(self):
+        demo = order4_obstruction_demo((4, 4))
+        assert demo.witness == ((1, 0), (0, 1))
+        assert demo.doubles == ((2, 0), (0, 2))
+        assert demo.difference_order == 2
+        assert demo.witness_count > 0
+        assert any("order 4" in line for line in demo.transcript)
+
+    def test_z4_z2_has_witness(self):
+        demo = order4_obstruction_demo((4, 2))
+        assert demo.witness is not None
+        g, h = demo.witness
+        group = demo.group
+        assert group.double(g) != group.double(h)
+        assert group.order_of(group.add(g, group.neg(h))) == 4
+
+    @pytest.mark.parametrize("orders", [(2, 2), (3,), (6,), (2, 6), (2, 2, 2), (3, 9)])
+    def test_four_free_groups_have_no_witness(self, orders):
+        assert find_order4_witness(FiniteGroupSpec(orders)) is None
+        demo = order4_obstruction_demo(orders)
+        assert demo.witness is None and demo.witness_count == 0
+
+    def test_report_shape(self):
+        demo = order4_obstruction_demo((4, 4))
+        d = demo.describe()
+        assert d["witness"] == [[1, 0], [0, 1]]
+        assert d["group"]["orders"] == [4, 4]
+        assert isinstance(d["transcript"], list)

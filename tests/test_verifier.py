@@ -1,7 +1,6 @@
-"""Verifier tests: sampling, the pair sweep, coset checks, the order-4 demo."""
+"""Verifier tests: sampling, the pair sweep, coset checks."""
 
 import ast
-import hashlib
 import inspect
 import random
 import time
@@ -19,7 +18,6 @@ from fourfree.colouring import (
     is_halvable,
     reads_layers,
 )
-from fourfree.sumset import FiniteGroupSpec, find_order4_witness, order4_obstruction_demo
 from fourfree.verifier import (
     SHIPPED_SAMPLES,
     Sample,
@@ -81,15 +79,8 @@ class TestEnumerateSample:
         with pytest.raises(SampleCapExceeded):
             enumerate_sample(spec, cap=1000)
 
-    def test_cap_enforced_in_random_mode(self):
-        spec = SampleSpec(AmbientSignature((3,), 1, 1), mode="random", count=5)
-        with pytest.raises(SampleCapExceeded):
-            enumerate_sample(spec, cap=4)
-        assert len(enumerate_sample(spec, cap=5)) == 5
-
-    @pytest.mark.parametrize("mode", [{}, {"mode": "random", "count": 5}])
-    def test_negative_cap_rejected(self, mode):
-        spec = SampleSpec(AmbientSignature((3,), 1, 1), **mode)
+    def test_negative_cap_rejected(self):
+        spec = SampleSpec(AmbientSignature((3,), 1, 1))
         with pytest.raises(ValueError, match="cap must be >= 0") as info:
             enumerate_sample(spec, cap=-5)
         assert not isinstance(info.value, SampleCapExceeded)
@@ -113,44 +104,6 @@ class TestEnumerateSample:
         assert time.perf_counter() - start < 5.0
         # 1 + 2 * #coprime pairs in [1, 10^6]^2 (OEIS A018805)
         assert spec.q_box_size() == 1 + 2 * 607927104783
-
-    def test_random_mode_deterministic(self):
-        spec = SampleSpec(
-            AmbientSignature((3, 5), 1, 1), mode="random", count=500, seed=42
-        )
-        assert enumerate_sample(spec) == enumerate_sample(spec)
-
-    def test_random_mode_stays_in_box(self):
-        spec = SampleSpec(
-            AmbientSignature((3,), 1, 1),
-            prufer_depth=2,
-            q_numerator_bound=2,
-            q_denominator_bound=2,
-            mode="random",
-            count=300,
-            seed=1,
-        )
-        box = set(spec.q_values())
-        exhaustive = set(
-            enumerate_sample(
-                SampleSpec(
-                    spec.signature,
-                    prufer_depth=2,
-                    q_numerator_bound=2,
-                    q_denominator_bound=2,
-                )
-            )
-        )
-        for a in enumerate_sample(spec):
-            assert a.q[0] in box
-            assert a in exhaustive
-
-    def test_different_seeds_differ(self):
-        base = dict(mode="random", count=200, seed=0)
-        sig = AmbientSignature((3, 5), 1, 1)
-        a = enumerate_sample(SampleSpec(sig, **base))
-        b = enumerate_sample(SampleSpec(sig, **{**base, "seed": 1}))
-        assert a != b
 
 
 class TestFindMonoTriples:
@@ -226,10 +179,7 @@ class TestFindMonoTriples:
             assert colour_text == "0"
 
     def test_report_independent_of_input_order(self):
-        spec = SampleSpec(
-            AmbientSignature((3, 5), 2, 1), mode="random", count=2000, seed=9
-        )
-        sample = enumerate_sample(spec)
+        sample = seeded_draws(SampleSpec(AmbientSignature((3, 5), 2, 1)), count=2000, seed=9)
         shuffled = list(sample)
         random.Random(3).shuffle(shuffled)
         assert find_mono_triples(sample) == find_mono_triples(shuffled)
@@ -247,6 +197,18 @@ class TestFindMonoTriples:
         report = find_mono_triples(sample, fn)
         assert report == find_mono_triples(list(sample)[::-1], fn)
         assert report.violations or fn_name == "full"
+
+
+def seeded_draws(spec, count, seed):
+    """``count`` elements drawn uniformly, with replacement, from the window of
+    ``spec``, reproducibly from ``seed``, and coded as a list by ``Sample.of``."""
+    rng = random.Random(seed)
+    sig, box, depth = spec.signature, spec.q_values(), spec.prufer_depth
+    return Sample.of([
+        element(sig, d={i: Fraction(rng.randrange(p**depth), p**depth) for i, p in enumerate(sig.prufer_factors)},
+                t=[rng.randrange(2) for _ in range(sig.s)], q=[rng.choice(box) for _ in range(sig.r)])
+        for _ in range(count)
+    ])
 
 
 def brute_force_sweep(elements, colour_fn):
@@ -286,10 +248,7 @@ def _mixed_depth_elements():
 
 
 def _random_with_duplicates():
-    spec = SampleSpec(
-        AmbientSignature((3,), 1, 1), q_numerator_bound=2, mode="random", count=120, seed=4
-    )
-    sample = enumerate_sample(spec)
+    sample = seeded_draws(SampleSpec(AmbientSignature((3,), 1, 1), q_numerator_bound=2), count=120, seed=4)
     assert len(set(sample)) < len(sample)
     return sample
 
@@ -297,11 +256,8 @@ def _random_with_duplicates():
 def _integer_random_partial_cosets():
     """Integer-mode draws with s = 2: cosets that hold only some t masks, free
     codes of both parities in one bucket, and duplicates."""
-    spec = SampleSpec(
-        AmbientSignature((3,), 2, 2, free_mode=INTEGER), q_numerator_bound=2, mode="random",
-        count=160, seed=7,
-    )
-    sample = enumerate_sample(spec)
+    spec = SampleSpec(AmbientSignature((3,), 2, 2, free_mode=INTEGER), q_numerator_bound=2)
+    sample = seeded_draws(spec, count=160, seed=7)
     cosets: dict = {}
     for d, t, q in sample.codes:
         cosets.setdefault((d, q), set()).add(t)
@@ -427,68 +383,6 @@ class TestCosetUniqueness:
             assert check_coset_uniqueness(sample).ok, f"coset failure in {name}"
 
 
-def order4_pair_scan(group):
-    """Every pair g < h (lex) with 2g != 2h and 2g - 2h of order 2, pair by pair."""
-    elems = group.elements()
-    pairs = []
-    for i, g in enumerate(elems):
-        for h in elems[i + 1 :]:
-            dg, dh = group.double(g), group.double(h)
-            if dg != dh and group.order_of(group.add(dg, group.neg(dh))) == 2:
-                pairs.append((g, h))
-    return pairs
-
-
-class TestOrder4Demo:
-    @pytest.mark.parametrize("orders", [
-        (4,), (8,), (16,), (12,), (4, 2), (2, 4), (4, 4), (2, 8), (4, 6), (8, 12),
-        (2, 2, 4), (4, 4, 2), (2, 4, 3),
-    ])
-    def test_matches_pair_scan(self, orders):
-        group = FiniteGroupSpec(orders)
-        pairs = order4_pair_scan(group)
-        demo = order4_obstruction_demo(orders)
-        assert demo.witness_count == len(pairs)
-        assert find_order4_witness(group) == pairs[0]
-        units = [tuple(int(i == j) for j in range(len(orders))) for i in range(len(orders))]
-        featured = [
-            (g, h)
-            for gi, g in enumerate(units)
-            for h in units[gi + 1 :]
-            if (g, h) in pairs or (h, g) in pairs
-        ]
-        assert demo.witness == (featured[0] if featured else pairs[0])
-
-    def test_default_demo_features_generator_pair(self):
-        demo = order4_obstruction_demo((4, 4))
-        assert demo.witness == ((1, 0), (0, 1))
-        assert demo.doubles == ((2, 0), (0, 2))
-        assert demo.difference_order == 2
-        assert demo.witness_count > 0
-        assert any("order 4" in line for line in demo.transcript)
-
-    def test_z4_z2_has_witness(self):
-        demo = order4_obstruction_demo((4, 2))
-        assert demo.witness is not None
-        g, h = demo.witness
-        group = demo.group
-        assert group.double(g) != group.double(h)
-        assert group.order_of(group.add(g, group.neg(h))) == 4
-
-    @pytest.mark.parametrize("orders", [(2, 2), (3,), (6,), (2, 6), (2, 2, 2), (3, 9)])
-    def test_four_free_groups_have_no_witness(self, orders):
-        assert find_order4_witness(FiniteGroupSpec(orders)) is None
-        demo = order4_obstruction_demo(orders)
-        assert demo.witness is None and demo.witness_count == 0
-
-    def test_report_shape(self):
-        demo = order4_obstruction_demo((4, 4))
-        d = demo.describe()
-        assert d["witness"] == [[1, 0], [0, 1]]
-        assert d["group"]["orders"] == [4, 4]
-        assert isinstance(d["transcript"], list)
-
-
 class TestCodedSample:
     """A Sample is coded straight from its spec; a list is coded by Sample.of.
     Both must give the same reports, and the Sample must read like the list."""
@@ -575,36 +469,6 @@ class TestCodedSample:
         assert report.describe() == check_coset_uniqueness(elements).describe()
         assert report.n_halvable == 3 * 3  # t = 0 and the free value in {-2, 0, 2}
 
-    # SHA-256 of the newline-joined canonical texts of seeds 0-9 (100 draws
-    # each), recorded before random mode drew codes: every seed keeps its draws.
-    RANDOM_WINDOWS = {
-        "main": (
-            dict(signature=AmbientSignature((3, 5), 2, 2), prufer_depth=2,
-                 q_numerator_bound=2, q_denominator_bound=2),
-            "9fb6ee05bd4ff0398d96fbec40a16d3598eb9ea3dfacedf4300284667fbd8271",
-        ),
-        "integer": (
-            dict(signature=AmbientSignature((3,), 1, 2, free_mode=INTEGER), prufer_depth=2,
-                 q_numerator_bound=3),
-            "65c1dfc84c735c9cf60c3a941d99910dd64c331d734874060d920662e50954c6",
-        ),
-        "repeated-prime": (
-            dict(signature=AmbientSignature((3, 3), 1, 1), prufer_depth=2,
-                 q_numerator_bound=3, q_denominator_bound=3),
-            "e4c7aa7895c84287294a334d7cd7820bb45a6b74cd8c894134c9b49fc57b082d",
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(RANDOM_WINDOWS))
-    def test_random_draws_pinned(self, name):
-        window, digest = self.RANDOM_WINDOWS[name]
-        texts = [
-            a.canonical_text()
-            for seed in range(10)
-            for a in enumerate_sample(SampleSpec(**window, mode="random", count=100, seed=seed))
-        ]
-        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
-
     def test_sequence_protocol(self):
         sample = enumerate_sample(SHIPPED_SAMPLES["odd-square"])
         elements = list(sample)
@@ -637,10 +501,10 @@ class TestCodedSample:
     def test_text_matches_canonical_text(self, name):
         self.assert_texts_match(enumerate_sample(SHIPPED_SAMPLES[name]))
 
-    def test_text_matches_canonical_text_in_random_mode(self):
+    def test_text_matches_canonical_text_of_seeded_draws(self):
         spec = SampleSpec(AmbientSignature((3, 5, 3), 3, 2), prufer_depth=2, q_numerator_bound=3,
-                          q_denominator_bound=4, mode="random", count=400, seed=11)
-        self.assert_texts_match(enumerate_sample(spec))
+                          q_denominator_bound=4)
+        self.assert_texts_match(seeded_draws(spec, count=400, seed=11))
 
     @pytest.mark.parametrize("sig", [AmbientSignature((3, 5), 0, 1), AmbientSignature((5,), 2, 0)],
                              ids=["s=0", "r=0"])
@@ -664,6 +528,9 @@ class TestCodedSample:
             # 1/2 is no free coordinate in integer free mode
             (Sample(AmbientSignature((), 1, 1, free_mode=INTEGER), 1, 2, (((), 1, (1,)),)),
              "free coordinate 1/2 is not an integer"),
+            # a mask with a bit above s, or a negative one, names no order-2 part
+            (Sample(AmbientSignature((), 2, 0), 1, 1, (((), 4, ()),)), "t mask 4 is not a mask of 2 bits"),
+            (Sample(AmbientSignature((), 2, 0), 1, 1, (((), -1, ()),)), "t mask -1 is not a mask of 2 bits"),
         ]
         for sample, message in invalid:
             (d, t, q), = sample.codes
