@@ -50,7 +50,7 @@ import stat
 import sys
 import time
 from collections.abc import Sequence
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -210,26 +210,75 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 # -- output ----------------------------------------------------------------
 
 
-# Reports are fresh describe() trees, which hold no cycles, so no cycle check.
-_ENCODER = json.JSONEncoder(indent=2, check_circular=False)
-_BATCH = 4096  # encoder chunks per file write
+# json's C encoder runs only without ``indent``, so json.dumps(indent=2)
+# passes every value up a chain of Python generators; _write_json makes the
+# same bytes by plain recursion.  Reports are fresh describe() trees with str
+# keys and no cycles, so keys are not coerced and cycles are not checked.
+_BATCH = 4096  # pieces per write
+
+
+def _write_json(value, write) -> None:
+    """Write ``json.dumps(value, indent=2) + "\\n"`` through ``write``.
+
+    The text is made of pieces (a separator, the indent and a key; a scalar;
+    a closing bracket).  Before each item at any depth, once ``_BATCH``
+    pieces are made, ``write`` gets them joined; it gets the rest at the end.
+    An int past Python's int->str digit limit raises ValueError, as in json.
+    """
+    pieces = []
+    append = pieces.append
+    quote = encode_basestring_ascii
+
+    def put(value, indent):
+        if len(pieces) >= _BATCH:
+            write("".join(pieces))
+            pieces.clear()
+        if isinstance(value, str):
+            append(quote(value))
+        elif isinstance(value, (dict, list, tuple)) and value:
+            inner = indent + "  "
+            comma = "," + inner
+            if isinstance(value, dict):
+                sep = "{" + inner
+                for key, item in value.items():
+                    append(sep + quote(key) + ": ")
+                    sep = comma
+                    put(item, inner)
+                append(indent + "}")
+            else:
+                sep = "[" + inner
+                for item in value:
+                    append(sep)
+                    sep = comma
+                    put(item, inner)
+                append(indent + "]")
+        elif isinstance(value, int) and not isinstance(value, bool):
+            append(int.__repr__(value))
+        else:  # None, a bool, a float, {} or []
+            append(json.dumps(value))
+
+    put(value, "\n")
+    append("\n")
+    write("".join(pieces))
 
 
 def _emit(report: dict, output: str | None) -> None:
-    """Write ``report`` as JSON to ``output``, or to stdout when it is empty,
-    whole or not at all, from the one module-level encoder.
+    """Write ``report`` as indent-2 JSON to ``output``, or to stdout when it is
+    empty, whole or not at all, through :func:`_write_json`.
 
-    A regular file (a symlink's target) is written in batches of encoder
-    chunks under a temporary name in its directory and renamed into place
-    with the old file's mode; the directory must be writable.  Stdout, or a
-    device or pipe such as /dev/null, gets the document only once it has
-    serialised completely.  A report that cannot be serialised (an int past
-    Python's int->str digit limit) is an I/O failure like an unwritable path.
+    A regular file (a symlink's target) gets the writer's batches under a
+    temporary name in its directory and is renamed into place with the old
+    file's mode; the directory must be writable.  Stdout, or a device or pipe
+    such as /dev/null, gets the document in one write once all of it is
+    made.  A report that cannot be serialised (an int past Python's int->str
+    digit limit) is an I/O failure like an unwritable path.
     """
     try:
         target = os.path.realpath(output) if output else None  # a symlink is written through
         if target is None or (os.path.exists(target) and not os.path.isfile(target)):
-            text = _ENCODER.encode(report) + "\n"
+            parts = []
+            _write_json(report, parts.append)
+            text = "".join(parts)
             if target is None:
                 sys.stdout.write(text)
             else:
@@ -240,10 +289,7 @@ def _emit(report: dict, output: str | None) -> None:
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                chunks = _ENCODER.iterencode(report)
-                for batch in iter(lambda: list(islice(chunks, _BATCH)), []):
-                    fh.write("".join(batch))
-                fh.write("\n")
+                _write_json(report, fh.write)
             if os.path.isfile(target):
                 os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)

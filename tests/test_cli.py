@@ -8,8 +8,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fourfree import cli
 from fourfree.cli import (
@@ -359,13 +362,16 @@ def test_unserialisable_report_leaves_stdout_empty(tmp_path, capsys):
 
 
 def test_report_failing_after_a_written_batch_leaves_the_target_alone(tmp_path):
-    # each list item is one encoder chunk, so the int past Python's int->str
+    # each list item is two writer pieces, so the int past Python's int->str
     # digit limit is reached only after a first batch has been written
-    items = list(range(2 * cli._BATCH))
-    assert sum(1 for _ in cli._ENCODER.iterencode(items)) > cli._BATCH
+    report = {"items": list(range(2 * cli._BATCH)), "big": 10**5_000}
+    writes = []
+    with pytest.raises(ValueError):
+        cli._write_json(report, writes.append)
+    assert writes
     out = write(tmp_path / "r.json", "old report\n")
     with pytest.raises(cli.CliError) as raised:
-        cli._emit({"items": items, "big": 10**5_000}, out)
+        cli._emit(report, out)
     assert raised.value.code == EXIT_IO and str(raised.value).startswith(f"cannot write {out}: ")
     assert (tmp_path / "r.json").read_bytes() == b"old report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
@@ -374,12 +380,61 @@ def test_report_failing_after_a_written_batch_leaves_the_target_alone(tmp_path):
 def test_multi_batch_report_writes_the_same_bytes_to_file_and_stdout(tmp_path, capsys):
     report = {"rows": [{"a": f"x\u00e9{i}", "n": i, "f": i / 7, "ok": i % 2 == 0, "none": None}
                        for i in range(1_000)], "empty": [{}, []]}
-    assert sum(1 for _ in cli._ENCODER.iterencode(report)) > 2 * cli._BATCH
+    writes = []
+    cli._write_json(report, writes.append)
+    assert len(writes) > 2
     out = tmp_path / "r.json"
     cli._emit(report, str(out))
     cli._emit(report, None)
     text = json.dumps(report, indent=2) + "\n"
+    assert "".join(writes) == text
     assert out.read_bytes() == capsys.readouterr().out.encode() == text.encode()
+
+
+# strings with non-ASCII and control characters, quotes and backslashes
+_texts = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+_scalars = (
+    st.none() | st.booleans() | _texts | st.integers()
+    | st.sampled_from([10**4_299, 10**4_300 - 1, -(10**4_300 - 1)])  # at Python's int->str digit limit
+    | st.floats() | st.sampled_from([-0.0, 1e-7, 1e300])
+)
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(_texts, children),
+    max_leaves=30,
+)
+
+
+@given(tree=_trees, batch=st.integers(1, 8))
+@example(tree={"": [], "a": {}, "b": [[], {}, (), [[]], {"c": {}}]}, batch=4096)
+def test_writer_writes_the_bytes_of_json_dumps(tree, batch):
+    writes = []
+    with mock.patch.object(cli, "_BATCH", batch):
+        cli._write_json(tree, writes.append)
+    assert "".join(writes) == json.dumps(tree, indent=2) + "\n"
+
+
+def _report(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)[0]
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(lambda: _report(["verify", "--signature", "prufer=3,5;s=2;r=1", "--prufer-depth", "2",
+                                  "--q-bound", "2", "--q-den-bound", "2", "--drop-layer", "halvable"]),
+                 id="depth-two-drop-halvable"),
+    pytest.param(lambda: [10**6 + i for i in range(3 * cli._BATCH)], id="flat-ints"),
+])
+def test_writer_streams_in_batches(value):
+    """A long report, or one long flat list, reaches ``write`` in several
+    batches, none much more than ``_BATCH`` pieces; every piece holds at most
+    one newline, so no write holds more than ``_BATCH`` of them."""
+    value = value()
+    writes = []
+    cli._write_json(value, writes.append)
+    assert "".join(writes) == json.dumps(value, indent=2) + "\n"
+    assert len(writes) >= 2
+    assert max(w.count("\n") for w in writes) <= cli._BATCH
 
 
 def test_main_is_the_only_report_writer():
