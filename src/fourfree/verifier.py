@@ -22,14 +22,18 @@ denominators; the order-2 block is a bitmask.  Each block shares one
 denominator, so the tuple of nonzero numerators of a block is its profile,
 and halvability is t == 0 (and, in integer free mode, every free code even).
 The d and y layers of 2a and of a+b read only the d and q parts of a and b,
-so a bucket is a list of cosets (d, q, ts) of the order-2 block, and the scan
-decides each pair of cosets once (see :func:`find_mono_triples`).  A window
-is coded as the unexpanded product of its parts, a list by
-:meth:`Sample.of`.  An :class:`~fourfree.ambient.AmbientElement` is built
-only for the double whose colour names a violating bucket, and only that
-colour text calls the colouring, which declares the layers the sweep
-compares with :func:`~fourfree.colouring.reads_layers`; :meth:`Sample.text`
-writes element text from per-part caches of strings, and
+so the sweep works part by part, as lemmas (L_d) and (L_y) do: it matches
+pairs of d parts and pairs of q parts separately, and a pair of cosets (d, q)
+of the order-2 block is a hit only where both of its part pairs match (see
+:func:`find_mono_triples`).  A window is coded as the unexpanded product of
+its parts and is counted from them, so a window without violations costs
+time in its distinct d and q parts and the pairs within their groups, not in
+its |D| |Q| cosets; a list is coded by :meth:`Sample.of` and swept over the
+cosets it holds.  An :class:`~fourfree.ambient.AmbientElement` is built only
+for the double whose colour names a violating bucket, and only that colour
+text calls the colouring, which declares the layers the sweep compares with
+:func:`~fourfree.colouring.reads_layers`; :meth:`Sample.text` writes element
+text from per-part caches of strings, and
 :meth:`Sample.coset_texts` writes a violating bucket's cosets, joining each
 coset's shared d and q texts once and varying only the t text.
 """
@@ -337,21 +341,43 @@ def _group(items, key) -> dict:
     return groups
 
 
-def _classes(s: Sample, d_key, q_key):
-    """How many distinct codes ``s`` has, how many buckets by (d_key(d), q_key(q)), and the
-    (key, bucket) pairs.  A bucket lists cosets (d, q, ts), ts the t masks of the codes with
-    parts d and q; a product's buckets are built one at a time and share its ts."""
+def _scan(s: Sample, d_key, y_key):
+    """``s`` by its parts: (n, n_buckets, candidate_pairs, by_d, by_q, ts_of, buckets).
+
+    n counts the distinct codes.  by_d groups the distinct d parts by d_key and
+    by_q the distinct q parts by y_key; a bucket holds the cosets (d, q) of
+    ``s`` with one key pair, and ts_of((d, q)) gives a coset's t masks, or None
+    where ``s`` lacks it.  A window holds every coset with every mask, so it is
+    counted from its group sizes and ``buckets`` is None; a list yields its
+    (key, cosets) buckets.
+    """
     if isinstance(s.codes, _Product):
         ds, ts, qs = s.codes.parts
-        by_d, by_q = _group(ds, d_key), _group(qs, q_key)
-        buckets = (((dk, qk), [(d, q, ts) for d in dm for q in qm])
-                   for dk, dm in by_d.items() for qk, qm in by_q.items())
-        return len(s), len(by_d) * len(by_q), buckets
-    uniq = dict.fromkeys(s.codes)
-    cosets = _group(uniq, lambda code: (code[0], code[2]))
-    by_key = _group([(d, q, [t for _, t, _ in codes]) for (d, q), codes in cosets.items()],
-                    lambda coset: (d_key(coset[0]), q_key(coset[1])))
-    return len(uniq), len(by_key), by_key.items()
+        by_d, by_q = _group(ds, d_key), _group(qs, y_key)
+        squares = [sum([len(g) ** 2 for g in groups.values()]) for groups in (by_d, by_q)]
+        n = len(s)
+        pairs = (len(ts) ** 2 * squares[0] * squares[1] - n) // 2
+        return n, len(by_d) * len(by_q), pairs, by_d, by_q, lambda coset: ts, None
+    cosets: dict = {}
+    for d, t, q in dict.fromkeys(s.codes):
+        cosets.setdefault((d, q), []).append(t)
+    by_d = _group(dict.fromkeys(d for d, _ in cosets), d_key)
+    by_q = _group(dict.fromkeys(q for _, q in cosets), y_key)
+    buckets = _group(cosets, lambda coset: (d_key(coset[0]), y_key(coset[1])))
+    sizes = [sum([len(cosets[c]) for c in members]) for members in buckets.values()]
+    pairs = sum([size * (size - 1) // 2 for size in sizes])
+    return sum(sizes), len(buckets), pairs, by_d, by_q, cosets.get, buckets.items()
+
+
+def _partners(groups: dict, match) -> dict:
+    """Each part with a partner: the other parts of its group that ``match(a, b, key)``."""
+    partners: dict = {}
+    for key, group in groups.items():
+        for a, b in combinations(group, 2):
+            if match(a, b, key):
+                partners.setdefault(a, []).append(b)
+                partners.setdefault(b, []).append(a)
+    return partners
 
 
 @record
@@ -392,12 +418,18 @@ def find_mono_triples(
     Duplicate elements are collapsed first.  Elements are bucketed by the
     layers of their double that ``colour_fn`` declares (see
     :func:`~fourfree.colouring.reads_layers`; an undeclared callable raises
-    ``TypeError``), and each pair of cosets in a bucket (see :func:`_classes`)
-    is decided once.  Members of one coset share d and q, so a+b has the d and
-    q parts of 2a; only h separates them, as a+b has t mask ta ^ tb != 0 and is
-    not halvable.  Two cosets get the d and y arithmetic once; a+b is halvable
-    exactly when ta ^ tb = 0 and, in integer mode, its free codes are even, so
-    with h read only equal t masks of cosets of equal free parity can match.
+    ``TypeError``), so a bucket is a d group by a q group (see :func:`_scan`).
+    a+b has the parts da + db and qa + qb, so the pairs of parts of a group
+    whose sum keeps its key are found once per group, as (L_d) and (L_y) each
+    work on one block; with h read in integer mode a q pair must also sum to
+    even free codes.  Two cosets of a bucket are a hit when their d parts are
+    equal or paired and so are their q parts, in both orientations, (da, qa)
+    with (db, qb) and (da, qb) with (db, qa).  One coset is a hit only with h
+    unread, as its a+b has t mask ta ^ tb != 0 and is not halvable; with h
+    read only equal t masks of two cosets match.  A list yields only hits
+    whose two cosets it holds, and a window's buckets without a hit are
+    counted, never built: memory follows the distinct parts and the violation
+    records.
     ``elements`` is a :class:`Sample` or a list, coded with :meth:`Sample.of`.
     """
     layers = getattr(colour_fn, "layers", None)
@@ -411,39 +443,61 @@ def find_mono_triples(
     integer = s.signature is not None and s.signature.free_mode == INTEGER
     use_d, use_y, use_h = "d" in layers, "y" in layers, "h" in layers
 
-    # Keys hold the d and y layers of 2a, None where unread, keyed once per
-    # distinct part; every double has t = 0 and even free codes, so it is
-    # halvable and h never splits a bucket.
-    d_keys = cache(lambda d: tuple([v for x in d if (v := 2 * x % M)]) if use_d else None)
-    y_keys = cache(lambda q: tuple([2 * x for x in q if x]) if use_y else None)
-    n, n_buckets, buckets = _classes(s, d_keys, y_keys)
+    # The d and y layers of a sum of two parts, None where unread: a+b has the
+    # d part da + db and the q part qa + qb, and 2a the parts da + da and qa + qa.
+    # A bucket's key is the layers of its doubles; every double has t = 0 and
+    # even free codes, so it is halvable and h never splits a bucket.
+    d_sum = lambda a, b: tuple([v for x, y in zip(a, b) if (v := (x + y) % M)]) if use_d else None
+    y_sum = lambda a, b: tuple([v for x, y in zip(a, b) if (v := x + y)]) if use_y else None
+    d_keys, y_keys = cache(lambda d: d_sum(d, d)), cache(lambda q: y_sum(q, q))
+    n, n_buckets, candidate_pairs, by_d, by_q, ts_of, buckets = _scan(s, d_keys, y_keys)
 
-    candidate_pairs = 0
+    # (L_d) and (L_y) part by part: two parts of a group are partners when their
+    # sum keeps the group's key and, with h read in integer mode, a+b's free
+    # codes are even, as a halvable a+b needs.
+    odd = lambda a, b: use_h and integer and any([(x + y) & 1 for x, y in zip(a, b)])
+    d_partners = _partners(by_d, lambda a, b, key: d_sum(a, b) == key)
+    q_partners = _partners(by_q, lambda a, b, key: y_sum(a, b) == key and not odd(a, b))
+    if buckets is None:
+        # A window builds only its buckets with a hit: with h unread all of them,
+        # as a coset of two t masks is a hit, else those with partners.
+        if use_h:
+            hot_d, hot_q = set(map(d_keys, d_partners)), set(map(y_keys, q_partners))
+            keys = {*product(hot_d, by_q), *product(by_d, hot_q)}
+        else:
+            keys = product(by_d, by_q)
+        buckets = (((dk, qk), product(by_d[dk], by_q[qk])) for dk, qk in keys)
+
     violations = []
-    for (d_key, y_key), cosets in buckets:
-        size = sum([len(ts) for _, _, ts in cosets])
-        candidate_pairs += size * (size - 1) // 2
-        hits = [(i, i) for i, (_, _, ts) in enumerate(cosets) if not use_h and len(ts) > 1]
-        for i, (da, qa, _) in enumerate(cosets):
-            for j, (db, qb, _) in enumerate(cosets[i + 1 :], i + 1):
-                if use_y and tuple([v for x, y in zip(qa, qb) if (v := x + y)]) != y_key:
-                    continue
-                if use_d and tuple([v for x, y in zip(da, db) if (v := (x + y) % M)]) != d_key:
-                    continue
-                if not (use_h and integer and any([(x + y) & 1 for x, y in zip(qa, qb)])):
-                    hits.append((i, j))
-        if hits:
-            d, q, _ = cosets[0]
-            double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
-            key = colour_fn(s.element(double))
-            key_text = colour_encode(key) if isinstance(key, Colour) else repr(key)
-            texts = [s.coset_texts(d, q, ts) for d, q, ts in cosets]
-            for a, b in ((texts[i], texts[j]) for i, j in hits):
-                if a is b:
-                    pairs = combinations(a.values(), 2)
-                else:
-                    pairs = [(a[t], b[t]) for t in a if t in b] if use_h else product(a.values(), b.values())
-                violations += [(x, y, key_text) if x < y else (y, x, key_text) for x, y in pairs]
+    for _, members in buckets:
+        hits = []
+        for c in members:
+            da, qa = c
+            if not use_h and len(ts_of(c)) > 1:
+                hits.append((c, c))
+            if da in d_partners or qa in q_partners:
+                for other in product((da, *d_partners.get(da, ())), (qa, *q_partners.get(qa, ()))):
+                    if other > c and ts_of(other) is not None:
+                        hits.append((c, other))
+        if not hits:
+            continue
+        d, q = hits[0][0]
+        double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
+        key = colour_fn(s.element(double))
+        key_text = colour_encode(key) if isinstance(key, Colour) else repr(key)
+        texts: dict = {}
+        for a, b in hits:
+            for c in (a, b):
+                if c not in texts:
+                    texts[c] = s.coset_texts(*c, ts_of(c))
+            ta, tb = texts[a], texts[b]
+            if a == b:
+                pairs = combinations(ta.values(), 2)
+            elif use_h:
+                pairs = [(ta[t], tb[t]) for t in ta if t in tb]
+            else:
+                pairs = product(ta.values(), tb.values())
+            violations += [(x, y, key_text) if x < y else (y, x, key_text) for x, y in pairs]
 
     violations.sort()
     return TripleReport(
@@ -483,25 +537,24 @@ def check_coset_uniqueness(elements: abc.Sequence[AmbientElement]) -> CosetRepor
     """Each coset of the order-2 block holds at most one halvable element.
 
     Elements are grouped by (Pruefer part, free part), which identifies the
-    coset; within each group the halvable elements are counted.
+    coset, through the same :func:`_scan` as the pair sweep; a code is
+    halvable when t = 0 and, in integer mode, its free codes are even.  A
+    window holds every t mask in each of its |D| |Q| cosets, so its census
+    reads only its parts, in O(|D| + |Q|).  The census cannot report an
+    offender: codes are deduplicated, so a coset holds t = 0 at most once.  It
+    checks the integer encoding, not lemma (L_h) on the group.
     ``elements`` is a :class:`Sample` or a list, coded with :meth:`Sample.of`.
     """
     s = elements if isinstance(elements, Sample) else Sample.of(elements)
     integer = s.signature is not None and s.signature.free_mode == INTEGER
-    n, n_cosets, buckets = _classes(s, lambda d: d, lambda q: q)
-    n_halvable = 0
-    offenders = []
-    for _, [(d, q, ts)] in buckets:
-        halvables = [(d, t, q) for t in ts if not t and not (integer and any(v & 1 for v in q))]
-        n_halvable += len(halvables)
-        if len(halvables) > 1:
-            offenders.append(tuple(sorted(map(s.text, halvables))))
-    return CosetReport(
-        n_elements=n,
-        n_cosets=n_cosets,
-        n_halvable=n_halvable,
-        offenders=tuple(sorted(offenders)),
-    )
+    n, n_cosets, _, by_d, by_q, ts_of, buckets = _scan(s, lambda d: d, lambda q: q)
+    even = lambda q: not (integer and any([v & 1 for v in q]))
+    if buckets is None:  # every coset of a window holds t = 0
+        return CosetReport(n, n_cosets, len(by_d) * sum(map(even, by_q)), ())
+    halvables = [[(d, t, q) for t in ts_of((d, q)) if not t and even(q)]
+                 for _, [(d, q)] in buckets]
+    offenders = [tuple(sorted(map(s.text, codes))) for codes in halvables if len(codes) > 1]
+    return CosetReport(n, n_cosets, sum(map(len, halvables)), tuple(sorted(offenders)))
 
 
 # Documented sampling windows.  Every shipped sample passes the full-colour

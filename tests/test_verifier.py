@@ -8,6 +8,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fourfree.ambient import INTEGER, AmbientSignature, element
 from fourfree.colouring import (
@@ -302,6 +304,43 @@ class TestBruteForceOracle:
             assert report.distinct == len(set(sample))
 
 
+# Small windows that lists are drawn from: repeated primes with s = 2, integer
+# free mode with s = 2 and r = 2, and two primes with rational free parts.
+DRAW_WINDOWS = (
+    SampleSpec(AmbientSignature((3, 3), 2, 1), q_numerator_bound=1),
+    SampleSpec(AmbientSignature((3,), 2, 2, free_mode=INTEGER), q_numerator_bound=1),
+    SampleSpec(AmbientSignature((3, 5), 1, 1), q_numerator_bound=2, q_denominator_bound=2),
+)
+_drawn_lists = st.sampled_from(DRAW_WINDOWS).flatmap(
+    lambda spec: st.lists(st.sampled_from(list(enumerate_sample(spec))), max_size=40)
+)
+_X = AmbientSignature((3,), 0, 1)
+
+
+class TestDrawnLists:
+    """The engine against the brute force on lists drawn from small windows:
+    duplicates, cosets holding only some t masks, and buckets holding only
+    some of the cosets that their parts would make."""
+
+    # Under ``constant`` every d pair and every q pair are partners, so two
+    # cosets with distinct d parts and distinct q parts are a hit.  The
+    # examples hold such cosets with the two part orders running the same
+    # way, (0, 0) and (1/3, 1), and crosswise, (0, 1) and (1/3, 0).
+    @settings(max_examples=100, deadline=None)
+    @given(elements=_drawn_lists)
+    @example(elements=[element(_X, q=(1,)), element(_X, d={0: Fraction(1, 3)}, q=(0,))])
+    @example(elements=[element(_X, q=(0,)), element(_X, d={0: Fraction(1, 3)}, q=(1,))])
+    def test_engine_matches_all_pairs(self, elements):
+        sample = Sample.of(elements)
+        for fn_name, fn in ORACLE_COLOURINGS.items():
+            report = find_mono_triples(sample, fn)
+            violations, n_buckets, candidates = brute_force_sweep(elements, fn)
+            assert report.violations == violations, fn_name
+            assert report.n_buckets == n_buckets, fn_name
+            assert report.candidate_pairs == candidates, fn_name
+            assert report.distinct == len(set(elements)), fn_name
+
+
 def _mutant(d=tuple, y=tuple):
     """``colour`` with its d and free profiles passed through ``d`` and ``y``."""
     return lambda a: (d(a.d_profile()), y(a.q_profile()), is_halvable(a))
@@ -425,8 +464,8 @@ class TestCodedSample:
 
     def test_product_sweep_never_holds_the_window(self):
         """Enumerating, sweeping and taking the coset census of main-sweep's
-        44,100 elements allocates about one bucket at a time (7.9 MiB at peak
-        when the window was expanded and bucketed whole)."""
+        44,100 elements allocates only for its distinct parts, about 74 KB
+        (7.9 MiB at peak when the window was expanded and bucketed whole)."""
         tracemalloc.start()
         try:
             sample = enumerate_sample(SHIPPED_SAMPLES["main-sweep"])
@@ -438,6 +477,17 @@ class TestCodedSample:
         assert (triple.distinct, triple.n_buckets, triple.candidate_pairs) == (44_100, 9_675, 87_750)
         assert triple.ok and coset.ok and coset.n_cosets == 11_025
         assert peak < 1_000_000
+
+    def test_depth_three_window_counts(self):
+        """main-sweep's window at depth 3 (661,500 elements) keeps the counts
+        it had when every bucket was built; a window is counted from its parts."""
+        spec = SampleSpec(AmbientSignature((3, 5), 2, 2), prufer_depth=3, q_numerator_bound=2,
+                          q_denominator_bound=2)
+        sample = enumerate_sample(spec, cap=1_000_000)
+        triple, coset = find_mono_triples(sample), check_coset_uniqueness(sample)
+        assert (triple.distinct, triple.n_buckets, triple.candidate_pairs) == (661_500, 145_125, 1_316_250)
+        assert triple.ok and coset.ok
+        assert coset.n_elements == 661_500 and coset.n_cosets == coset.n_halvable == 165_375
 
     def test_violation_sweep_holds_one_bucket_of_texts(self):
         """Under drop-halvable, main-sweep's 66,150 violation records are the
