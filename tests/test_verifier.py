@@ -1,6 +1,7 @@
 """Verifier tests: sampling, the pair sweep, coset checks."""
 
 import ast
+import hashlib
 import inspect
 import random
 import time
@@ -302,6 +303,19 @@ class TestBruteForceOracle:
             assert report.n_buckets == n_buckets, (name, fn_name)
             assert report.candidate_pairs == candidates, (name, fn_name)
             assert report.distinct == len(set(sample))
+
+    def test_depth_two_drop_d_is_pinned(self):
+        """depth-two under drop-d, which the brute force cannot finish, pinned
+        by its counts and the SHA-256 of its sorted violation records, one
+        tab-joined record a line, as the sweep gave them before the list path
+        was deleted."""
+        sample = enumerate_sample(SHIPPED_SAMPLES["depth-two"])
+        report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"])
+        counts = (report.size, report.distinct, report.pairs, report.n_buckets, report.candidate_pairs)
+        assert counts == (6_300, 6_300, 19_841_850, 7, 2_831_850)
+        assert len(report.violations) == 705_600
+        digest = hashlib.sha256("".join("\t".join(v) + "\n" for v in sorted(report.violations)).encode())
+        assert digest.hexdigest() == "0d13355c24cd7ba414c9fa1c93903c20327b9fbbb890f43c3a404a77cb6fe505"
 
 
 # Small windows that lists are drawn from: repeated primes with s = 2, integer
