@@ -160,13 +160,17 @@ def parse_presentation_text(text: str, source: str = "<input>") -> Presentation:
         raise CliError(f"{source}: {exc}")
 
 
-def load_presentation(path: str) -> Presentation:
+def _read_input(path: str) -> str:
+    """The text of an input file; one that cannot be read, or is not UTF-8, exits 4."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    return parse_presentation_text(text, source=path)
+
+
+def load_presentation(path: str) -> Presentation:
+    return parse_presentation_text(_read_input(path), source=path)
 
 
 def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignature:
@@ -359,11 +363,7 @@ def cmd_colour(args) -> tuple[dict | None, int]:
     sig = parse_signature_text(args.signature, args.free_mode)
     texts = list(args.elements)
     if args.input:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                texts.extend(line.strip() for line in fh if line.strip())
-        except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc}")
+        texts.extend(line.strip() for line in _read_input(args.input).split("\n") if line.strip())
     if not texts:
         raise CliError("no elements given (positional arguments or --input file)")
     items = []

@@ -21,20 +21,20 @@ doubled mod M; a free coordinate is its numerator over L, the lcm of the free
 denominators; the order-2 block is a bitmask.  Each block shares one
 denominator, so the tuple of nonzero numerators of a block is its profile,
 and halvability is t == 0 (and, in integer free mode, every free code even).
+A window is the product of its d codes, every t mask and its q codes, so a
+:class:`Sample` keeps only its d and q codes and never expands the product.
 The d and y layers of 2a and of a+b read only the d and q parts of a and b,
 so the sweep works part by part, as lemmas (L_d) and (L_y) do: it matches
 pairs of d parts and pairs of q parts separately, and a pair of cosets (d, q)
 of the order-2 block is a hit only where both of its part pairs match (see
-:func:`find_mono_triples`).  A window is coded as the unexpanded product of
-its parts and is counted from them, so a window without violations costs
-time in its distinct d and q parts and the pairs within their groups, not in
-its |D| |Q| cosets; a list is coded by :meth:`Sample.of` and swept over the
-cosets it holds.  An :class:`~fourfree.ambient.AmbientElement` is built only
-for the double whose colour names a violating bucket, and only that colour
-text calls the colouring, which declares the layers the sweep compares with
-:func:`~fourfree.colouring.reads_layers`; :meth:`Sample.text` writes element
-text from per-part caches of strings, and
-:meth:`Sample.coset_texts` writes a violating bucket's cosets, joining each
+:func:`find_mono_triples`).  A window is counted from its parts, so one
+without violations costs time in its distinct d and q parts and the pairs
+within their groups, not in its |D| |Q| cosets.  An
+:class:`~fourfree.ambient.AmbientElement` is built only for the double whose
+colour names a violating bucket, and only that colour text calls the
+colouring, which declares the layers the sweep compares with
+:func:`~fourfree.colouring.reads_layers`; :meth:`Sample.coset_texts` writes a
+violating bucket's cosets from per-part caches of strings, joining each
 coset's shared d and q texts once and varying only the t text.
 """
 
@@ -46,12 +46,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
 
-from .ambient import (
-    INTEGER,
-    AmbientElement,
-    AmbientSignature,
-    SignatureMismatch,
-)
+from .ambient import INTEGER, AmbientElement, AmbientSignature
 from .arith import DEFAULT_SAMPLE_CAP, describe_fields, record, size_text
 from .colouring import Colour, colour, colour_encode, reads_layers
 
@@ -187,57 +182,32 @@ def _check_cap(spec: SampleSpec, cap: int) -> None:
 _Code = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
-class _Product(abc.Sequence):
-    """The codes (d, t, q) of D x T x Q in d-major order, never expanded: it
-    indexes, slices and iterates like the tuple of those codes, is equal to it
-    and hashes like it (only the hash builds that tuple, for a moment)."""
-
-    def __init__(self, *parts: tuple):
-        self.parts = parts
-
-    def __len__(self) -> int:
-        return math.prod(map(len, self.parts))
-
-    def __getitem__(self, index):
-        ds, ts, qs = self.parts
-        at = lambda i: (ds[i // len(qs) // len(ts)], ts[i // len(qs) % len(ts)], qs[i % len(qs)])
-        picked = range(len(self))[index]
-        return tuple(map(at, picked)) if isinstance(index, slice) else at(picked)
-
-    def __iter__(self):
-        return product(*self.parts)
-
-    def __eq__(self, other):
-        same_len = isinstance(other, (tuple, _Product)) and len(other) == len(self)
-        return same_len and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
 @record
 class Sample(abc.Sequence):
-    """A window of ambient elements, held as integer codes (d, t, q).
+    """An exhaustive window of ambient elements, held as integer codes (d, t, q).
 
-    ``codes`` keeps the list order, duplicates included (a window's codes are
-    its parts' product).  d is the dense tuple of Pruefer numerators over
-    ``M``, t the order-2 bits as a mask with the first bit highest, q the free
-    numerators over ``L`` (1 in integer free mode, so a code's parity is its
-    value's).  Distinct elements of the signature have distinct codes, and a
-    part that names no element (a t mask outside [0, 2^s) too) raises
-    ``ValueError`` when it is decoded.
-    Two samples are equal when their signatures, ``M``, ``L`` and codes are.
-    As a read-only sequence the sample yields its elements: :meth:`element`
-    decodes a code on demand, and equal parts of different elements are
-    decoded once and shared; :meth:`text` joins a code's canonical text from
-    texts written once per distinct part, and :meth:`coset_texts` the texts of
-    a coset of the order-2 block.
+    The window is the product of ``d_codes``, the t masks ``range(2**s)`` and
+    ``q_codes``, in that order, and is never expanded.  d is the dense tuple
+    of Pruefer numerators over ``M``, t the order-2 bits as a mask with the
+    first bit highest, q the free numerators over ``L`` (1 in integer free
+    mode, so a code's parity is its value's).  Distinct elements of the
+    signature have distinct codes, and a part that names no element (a t mask
+    outside [0, 2^s) too) raises ``ValueError`` when it is decoded.  Built by
+    :func:`enumerate_sample`; two samples are equal when their signatures,
+    ``M``, ``L`` and codes are.
+    As a read-only sequence the sample yields its elements, and an index or a
+    slice gives an element or a list of them: :meth:`element` decodes a code
+    on demand, and equal parts of different elements are decoded once and
+    shared; :meth:`text` joins a code's canonical text from texts written once
+    per distinct part, and :meth:`coset_texts` the texts of a coset of the
+    order-2 block.
     """
 
-    signature: AmbientSignature | None
+    signature: AmbientSignature
     M: int
     L: int
-    codes: abc.Sequence[_Code]
+    d_codes: tuple[tuple[int, ...], ...]
+    q_codes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         sig, M, L = self.signature, self.M, self.L
@@ -253,26 +223,9 @@ class Sample(abc.Sequence):
         set_(self, "_q", cache(lambda q: tuple(Fraction(v, L) for v in q)))
         set_(self, "_texts", cache(self._part_text))
 
-    @classmethod
-    def of(cls, elements: abc.Sequence[AmbientElement]) -> "Sample":
-        """Code a list of elements of one signature, each from its own coordinates."""
-        if not elements:
-            return cls(None, 1, 1, ())
-        sig = elements[0].signature
-        if any(a.signature != sig for a in elements):
-            raise SignatureMismatch("sample mixes elements of different signatures")
-        M = math.lcm(*{coord.denominator for a in elements for _, coord in a.d})
-        L = math.lcm(*{v.denominator for a in elements for v in a.q})
-        codes = []
-        for a in elements:
-            d = [0] * len(sig.prufer_factors)
-            for i, coord in a.d:
-                d[i] = coord.numerator * (M // coord.denominator)
-            t = 0
-            for bit in a.t:
-                t = t << 1 | bit
-            codes.append((tuple(d), t, tuple([v.numerator * (L // v.denominator) for v in a.q])))
-        return cls(sig, M, L, tuple(codes))
+    @property
+    def t_masks(self) -> range:
+        return range(1 << self.signature.s)
 
     def element(self, code: _Code) -> AmbientElement:
         """The element with this code, built from the memoised decoded parts."""
@@ -297,15 +250,16 @@ class Sample(abc.Sequence):
         return self.element(tuple(code)).canonical_text().split(";")[k]
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.d_codes) * len(self.t_masks) * len(self.q_codes)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self.element(code) for code in self.codes[index]]
-        return self.element(self.codes[index])
+        ds, ts, qs = self.d_codes, self.t_masks, self.q_codes
+        at = lambda i: self.element((ds[i // len(qs) // len(ts)], ts[i // len(qs) % len(ts)], qs[i % len(qs)]))
+        picked = range(len(self))[index]
+        return list(map(at, picked)) if isinstance(index, slice) else at(picked)
 
     def __iter__(self):
-        return map(self.element, self.codes)
+        return map(self.element, product(self.d_codes, self.t_masks, self.q_codes))
 
 
 def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
@@ -325,7 +279,13 @@ def enumerate_sample(spec: SampleSpec, cap: int = DEFAULT_SAMPLE_CAP) -> Sample:
     L = math.lcm(*{v.denominator for v in box})
     d_codes = tuple(product(*(range(0, M, M // n) for n in depth_orders)))
     q_codes = tuple(product([v.numerator * (L // v.denominator) for v in box], repeat=sig.r))
-    return Sample(sig, M, L, _Product(d_codes, tuple(range(2**sig.s)), q_codes))
+    return Sample(sig, M, L, d_codes, q_codes)
+
+
+def _window(sample) -> Sample:
+    if not isinstance(sample, Sample):
+        raise TypeError(f"expected a Sample made by enumerate_sample, not {type(sample).__name__}")
+    return sample
 
 
 @reads_layers()
@@ -339,34 +299,6 @@ def _group(items, key) -> dict:
     for item in items:
         groups.setdefault(key(item), []).append(item)
     return groups
-
-
-def _scan(s: Sample, d_key, y_key):
-    """``s`` by its parts: (n, n_buckets, candidate_pairs, by_d, by_q, ts_of, buckets).
-
-    n counts the distinct codes.  by_d groups the distinct d parts by d_key and
-    by_q the distinct q parts by y_key; a bucket holds the cosets (d, q) of
-    ``s`` with one key pair, and ts_of((d, q)) gives a coset's t masks, or None
-    where ``s`` lacks it.  A window holds every coset with every mask, so it is
-    counted from its group sizes and ``buckets`` is None; a list yields its
-    (key, cosets) buckets.
-    """
-    if isinstance(s.codes, _Product):
-        ds, ts, qs = s.codes.parts
-        by_d, by_q = _group(ds, d_key), _group(qs, y_key)
-        squares = [sum([len(g) ** 2 for g in groups.values()]) for groups in (by_d, by_q)]
-        n = len(s)
-        pairs = (len(ts) ** 2 * squares[0] * squares[1] - n) // 2
-        return n, len(by_d) * len(by_q), pairs, by_d, by_q, lambda coset: ts, None
-    cosets: dict = {}
-    for d, t, q in dict.fromkeys(s.codes):
-        cosets.setdefault((d, q), []).append(t)
-    by_d = _group(dict.fromkeys(d for d, _ in cosets), d_key)
-    by_q = _group(dict.fromkeys(q for _, q in cosets), y_key)
-    buckets = _group(cosets, lambda coset: (d_key(coset[0]), y_key(coset[1])))
-    sizes = [sum([len(cosets[c]) for c in members]) for members in buckets.values()]
-    pairs = sum([size * (size - 1) // 2 for size in sizes])
-    return sum(sizes), len(buckets), pairs, by_d, by_q, cosets.get, buckets.items()
 
 
 def _partners(groups: dict, match) -> dict:
@@ -410,27 +342,28 @@ class TripleReport:
 
 
 def find_mono_triples(
-    elements: abc.Sequence[AmbientElement],
+    sample: Sample,
     colour_fn: abc.Callable[[AmbientElement], object] = colour,
 ) -> TripleReport:
-    """Check every unordered pair a != b for colour(2a) = colour(2b) = colour(a+b).
+    """Check every unordered pair a != b of a window for colour(2a) = colour(2b) = colour(a+b).
 
-    Duplicate elements are collapsed first.  Elements are bucketed by the
-    layers of their double that ``colour_fn`` declares (see
-    :func:`~fourfree.colouring.reads_layers`; an undeclared callable raises
-    ``TypeError``), so a bucket is a d group by a q group (see :func:`_scan`).
-    a+b has the parts da + db and qa + qb, so the pairs of parts of a group
-    whose sum keeps its key are found once per group, as (L_d) and (L_y) each
-    work on one block; with h read in integer mode a q pair must also sum to
-    even free codes.  Two cosets of a bucket are a hit when their d parts are
-    equal or paired and so are their q parts, in both orientations, (da, qa)
-    with (db, qb) and (da, qb) with (db, qa).  One coset is a hit only with h
-    unread, as its a+b has t mask ta ^ tb != 0 and is not halvable; with h
-    read only equal t masks of two cosets match.  A list yields only hits
-    whose two cosets it holds, and a window's buckets without a hit are
-    counted, never built: memory follows the distinct parts and the violation
-    records.
-    ``elements`` is a :class:`Sample` or a list, coded with :meth:`Sample.of`.
+    Elements are bucketed by the layers of their double that ``colour_fn``
+    declares (see :func:`~fourfree.colouring.reads_layers`; an undeclared
+    callable raises ``TypeError``): the d parts of ``sample`` are grouped by
+    the d layer of their doubles and its q parts by the y layer, and a bucket
+    is a d group by a q group.  So a window's buckets and candidate pairs are
+    counted from the group sizes.  a+b has the parts da + db and qa + qb, so
+    the pairs of parts of a group whose sum keeps its key are found once per
+    group, as (L_d) and (L_y) each work on one block; with h read in integer
+    mode a q pair must also sum to even free codes.  Two cosets of a bucket
+    are a hit when their d parts are equal or paired and so are their q
+    parts, in both orientations, (da, qa) with (db, qb) and (da, qb) with
+    (db, qa).  One coset is a hit only with h unread, as its a+b has t mask
+    ta ^ tb != 0 and is not halvable; with h read only equal t masks of two
+    cosets match.  Only the buckets that can hold a hit are built: memory
+    follows the distinct parts and the violation records.
+    ``sample`` must be a :class:`Sample` from :func:`enumerate_sample`;
+    anything else raises ``TypeError``.
     """
     layers = getattr(colour_fn, "layers", None)
     if layers is None:
@@ -438,9 +371,9 @@ def find_mono_triples(
             f"colouring {colour_fn!r} does not declare the layers it reads; "
             "decorate it with fourfree.colouring.reads_layers"
         )
-    s = elements if isinstance(elements, Sample) else Sample.of(elements)
-    M = s.M
-    integer = s.signature is not None and s.signature.free_mode == INTEGER
+    s = _window(sample)
+    M, ts, n = s.M, s.t_masks, len(s)
+    integer = s.signature.free_mode == INTEGER
     use_d, use_y, use_h = "d" in layers, "y" in layers, "h" in layers
 
     # The d and y layers of a sum of two parts, None where unread: a+b has the
@@ -450,7 +383,8 @@ def find_mono_triples(
     d_sum = lambda a, b: tuple([v for x, y in zip(a, b) if (v := (x + y) % M)]) if use_d else None
     y_sum = lambda a, b: tuple([v for x, y in zip(a, b) if (v := x + y)]) if use_y else None
     d_keys, y_keys = cache(lambda d: d_sum(d, d)), cache(lambda q: y_sum(q, q))
-    n, n_buckets, candidate_pairs, by_d, by_q, ts_of, buckets = _scan(s, d_keys, y_keys)
+    by_d, by_q = _group(s.d_codes, d_keys), _group(s.q_codes, y_keys)
+    d_square, q_square = (sum([len(g) ** 2 for g in groups.values()]) for groups in (by_d, by_q))
 
     # (L_d) and (L_y) part by part: two parts of a group are partners when their
     # sum keeps the group's key and, with h read in integer mode, a+b's free
@@ -458,26 +392,24 @@ def find_mono_triples(
     odd = lambda a, b: use_h and integer and any([(x + y) & 1 for x, y in zip(a, b)])
     d_partners = _partners(by_d, lambda a, b, key: d_sum(a, b) == key)
     q_partners = _partners(by_q, lambda a, b, key: y_sum(a, b) == key and not odd(a, b))
-    if buckets is None:
-        # A window builds only its buckets with a hit: with h unread all of them,
-        # as a coset of two t masks is a hit, else those with partners.
-        if use_h:
-            hot_d, hot_q = set(map(d_keys, d_partners)), set(map(y_keys, q_partners))
-            keys = {*product(hot_d, by_q), *product(by_d, hot_q)}
-        else:
-            keys = product(by_d, by_q)
-        buckets = (((dk, qk), product(by_d[dk], by_q[qk])) for dk, qk in keys)
+    # Build only the buckets with a hit: with h unread all of them, as a coset
+    # of two t masks is a hit, else those with partners.
+    if use_h:
+        hot_d, hot_q = set(map(d_keys, d_partners)), set(map(y_keys, q_partners))
+        keys = {*product(hot_d, by_q), *product(by_d, hot_q)}
+    else:
+        keys = product(by_d, by_q)
 
     violations = []
-    for _, members in buckets:
+    for dk, qk in keys:
         hits = []
-        for c in members:
+        for c in product(by_d[dk], by_q[qk]):
             da, qa = c
-            if not use_h and len(ts_of(c)) > 1:
+            if not use_h and len(ts) > 1:
                 hits.append((c, c))
             if da in d_partners or qa in q_partners:
                 for other in product((da, *d_partners.get(da, ())), (qa, *q_partners.get(qa, ()))):
-                    if other > c and ts_of(other) is not None:
+                    if other > c:
                         hits.append((c, other))
         if not hits:
             continue
@@ -489,35 +421,40 @@ def find_mono_triples(
         for a, b in hits:
             for c in (a, b):
                 if c not in texts:
-                    texts[c] = s.coset_texts(*c, ts_of(c))
+                    texts[c] = s.coset_texts(*c, ts).values()
             ta, tb = texts[a], texts[b]
             if a == b:
-                pairs = combinations(ta.values(), 2)
+                pairs = combinations(ta, 2)
             elif use_h:
-                pairs = [(ta[t], tb[t]) for t in ta if t in tb]
+                pairs = zip(ta, tb)
             else:
-                pairs = product(ta.values(), tb.values())
+                pairs = product(ta, tb)
             violations += [(x, y, key_text) if x < y else (y, x, key_text) for x, y in pairs]
 
     violations.sort()
     return TripleReport(
-        size=len(s),
+        size=n,
         distinct=n,
         pairs=n * (n - 1) // 2,
-        n_buckets=n_buckets,
-        candidate_pairs=candidate_pairs,
+        n_buckets=len(by_d) * len(by_q),
+        candidate_pairs=(len(ts) ** 2 * d_square * q_square - n) // 2,
         violations=tuple(violations),
     )
 
 
 @record
 class CosetReport:
-    """Halvable-element census per coset of the order-2 block."""
+    """Halvable-element census per coset of the order-2 block.
+
+    ``offenders`` (cosets with two or more halvable elements, as element
+    texts) is always empty on a window; it stays in reports until ROADMAP
+    item 5 removes the block.
+    """
 
     n_elements: int
     n_cosets: int
     n_halvable: int
-    offenders: tuple[tuple[str, ...], ...]  # cosets with >= 2 halvable elements
+    offenders: tuple[tuple[str, ...], ...]
 
     @property
     def ok(self) -> bool:
@@ -533,28 +470,22 @@ class CosetReport:
         }
 
 
-def check_coset_uniqueness(elements: abc.Sequence[AmbientElement]) -> CosetReport:
+def check_coset_uniqueness(sample: Sample) -> CosetReport:
     """Each coset of the order-2 block holds at most one halvable element.
 
-    Elements are grouped by (Pruefer part, free part), which identifies the
-    coset, through the same :func:`_scan` as the pair sweep; a code is
-    halvable when t = 0 and, in integer mode, its free codes are even.  A
-    window holds every t mask in each of its |D| |Q| cosets, so its census
-    reads only its parts, in O(|D| + |Q|).  The census cannot report an
-    offender: codes are deduplicated, so a coset holds t = 0 at most once.  It
-    checks the integer encoding, not lemma (L_h) on the group.
-    ``elements`` is a :class:`Sample` or a list, coded with :meth:`Sample.of`.
+    A window holds every t mask once in each of its |D| |Q| cosets (d, q), and
+    a code is halvable when t = 0 and, in integer mode, its free codes are
+    even; so the census reads only the parts, in O(|D| + |Q|).  ``offenders``
+    is always empty on a window, as a coset holds t = 0 once; it stays in
+    reports until ROADMAP item 5 removes the block.  The census checks the
+    integer encoding, not lemma (L_h) on the group.
+    ``sample`` must be a :class:`Sample` from :func:`enumerate_sample`;
+    anything else raises ``TypeError``.
     """
-    s = elements if isinstance(elements, Sample) else Sample.of(elements)
-    integer = s.signature is not None and s.signature.free_mode == INTEGER
-    n, n_cosets, _, by_d, by_q, ts_of, buckets = _scan(s, lambda d: d, lambda q: q)
-    even = lambda q: not (integer and any([v & 1 for v in q]))
-    if buckets is None:  # every coset of a window holds t = 0
-        return CosetReport(n, n_cosets, len(by_d) * sum(map(even, by_q)), ())
-    halvables = [[(d, t, q) for t in ts_of((d, q)) if not t and even(q)]
-                 for _, [(d, q)] in buckets]
-    offenders = [tuple(sorted(map(s.text, codes))) for codes in halvables if len(codes) > 1]
-    return CosetReport(n, n_cosets, sum(map(len, halvables)), tuple(sorted(offenders)))
+    s = _window(sample)
+    integer = s.signature.free_mode == INTEGER
+    even = sum([not (integer and any([v & 1 for v in q])) for q in s.q_codes])
+    return CosetReport(len(s), len(s.d_codes) * len(s.q_codes), len(s.d_codes) * even, ())
 
 
 # Documented sampling windows.  Every shipped sample passes the full-colour

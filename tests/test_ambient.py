@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fourfree
@@ -324,3 +324,44 @@ class TestHypothesisProperties:
     def test_scalar_distributes(self, a, n):
         assert n * a == (n * a + zero(SIG))
         assert (n + 1) * a == n * a + a
+
+
+TAIL_SIG = AmbientSignature((3, 5, 3, 7), s=1, r=3)
+
+
+@st.composite
+def tail_elements(draw):
+    """Elements whose supports vary: each coordinate is zero about half the time."""
+    d = {
+        i: Fraction(draw(st.one_of(st.just(0), st.integers(1, p**2 - 1))), p**2)
+        for i, p in enumerate(TAIL_SIG.prufer_factors)
+    }
+    q = [
+        Fraction(draw(st.one_of(st.just(0), st.integers(-3, 3))), draw(st.integers(1, 3)))
+        for _ in range(TAIL_SIG.r)
+    ]
+    return element(TAIL_SIG, d=d, t=[draw(st.integers(0, 1))], q=q)
+
+
+class TestProfileTail:
+    """Zeroing the first coordinate of the support of a block drops exactly the
+    first value of that block's profile and leaves the other profile alone:
+    two profiles are equal when their first values and their tails are."""
+
+    @settings(max_examples=300)
+    @given(tail_elements())
+    def test_d_profile_drops_its_first_value(self, a):
+        assume(a.d)
+        first = a.d[0][0]
+        rest = element(TAIL_SIG, d={i: v for i, v in a.d if i != first}, t=a.t, q=a.q)
+        assert rest.d_profile().values == a.d_profile().values[1:]
+        assert rest.q_profile() == a.q_profile()
+
+    @settings(max_examples=300)
+    @given(tail_elements())
+    def test_q_profile_drops_its_first_value(self, a):
+        first = next((j for j, v in enumerate(a.q) if v), None)
+        assume(first is not None)
+        rest = element(TAIL_SIG, d=a.d, t=a.t, q=[0 if j == first else v for j, v in enumerate(a.q)])
+        assert rest.q_profile().values == a.q_profile().values[1:]
+        assert rest.d_profile() == a.d_profile()

@@ -483,6 +483,27 @@ def test_documented_exit_code_without_traceback(argv, code, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{bad}"],
+    ["embed", "--input", "{bad}"],
+    ["verify", "--input", "{bad}"],
+    ["colour", "--signature", "s=1", "--input", "{bad}"],
+], ids=["analyze", "embed", "verify", "colour"])
+def test_non_utf8_input_is_io_error(argv, tmp_path):
+    """An input file that is not UTF-8 exits 4 with one error line, not a traceback with exit 1."""
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"generators: 1\nrelations:\n3 # caf\xe9\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "fourfree", *(arg.format(bad=bad) for arg in argv)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert result.returncode == EXIT_IO
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: cannot read {bad}: ") and "decode" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--signature", "prufer=3;s=1;r=1", "--cap", "-5"],
     ["search", "--group", "4", "--colours", "2", "--cap", "-1"],
     ["search", "--group", "4", "--min-colours", "--cap", "-1"],

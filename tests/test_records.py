@@ -48,6 +48,7 @@ SIG = AmbientSignature((3, 5), 2, 1)
 Z2_Z6 = Presentation(2, ((2, 0), (0, 6)))
 A = element(SIG, d={0: Fraction(1, 3)}, t=[1, 0], q=[Fraction(-1, 2)])
 WINDOW = enumerate_sample(SHIPPED_SAMPLES["demo-default"])
+HALVES = enumerate_sample(SampleSpec(SIG, q_denominator_bound=2))
 
 
 def instances():
@@ -65,7 +66,7 @@ def instances():
         all_colourings_forced(FiniteGroupSpec((4,)), 2),
         min_colours_avoiding(FiniteGroupSpec((4,))),
         SHIPPED_SAMPLES["depth-two"],
-        Sample.of([A, 2 * A]),
+        HALVES,
         find_mono_triples(WINDOW),
         check_coset_uniqueness(WINDOW),
         order4_obstruction_demo((4, 4)),
@@ -170,7 +171,7 @@ def test_post_init_normalises_fields():
     assert Profile((1, 2)).values == (Fraction(1), Fraction(2))
     assert Presentation(1, [[2]]).relations == ((2,),)
     assert CanonicalDecomposition(0, [(5, 1), (3, 2)]).primary_factors == ((3, 2), (5, 1))
-    assert Sample.of([A]).text(Sample.of([A]).codes[0]) == A.canonical_text()
+    assert HALVES.text(((HALVES.M // 3, 0), 0b10, (-HALVES.L // 2,))) == A.canonical_text()
 
 
 @record
