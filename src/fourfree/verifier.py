@@ -253,8 +253,8 @@ class Sample(abc.Sequence):
         return len(self.d_codes) * len(self.t_masks) * len(self.q_codes)
 
     def __getitem__(self, index):
-        ds, ts, qs = self.d_codes, self.t_masks, self.q_codes
-        at = lambda i: self.element((ds[i // len(qs) // len(ts)], ts[i // len(qs) % len(ts)], qs[i % len(qs)]))
+        ds, qs, n_t = self.d_codes, self.q_codes, len(self.t_masks)
+        at = lambda i: self.element((ds[i // len(qs) // n_t], i // len(qs) % n_t, qs[i % len(qs)]))
         picked = range(len(self))[index]
         return list(map(at, picked)) if isinstance(index, slice) else at(picked)
 

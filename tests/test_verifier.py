@@ -201,7 +201,7 @@ class TestFindMonoTriples:
     @pytest.mark.parametrize("fn", [find_mono_triples, check_coset_uniqueness])
     def test_only_a_window_is_swept(self, fn):
         sample = enumerate_sample(SHIPPED_SAMPLES["t-block"])
-        for elements in (list(sample), sample[:], (), SHIPPED_SAMPLES["t-block"]):
+        for elements in (list(sample), (), SHIPPED_SAMPLES["t-block"]):
             with pytest.raises(TypeError, match="enumerate_sample"):
                 fn(elements)
 
@@ -530,6 +530,7 @@ class TestCodedSample:
         self.assert_texts_match(sample, self.draw_codes(sample, count=60, seed=5))
 
     def test_text_of_invalid_code_raises_like_element(self):
+        t_block = enumerate_sample(SHIPPED_SAMPLES["t-block"])
         invalid = [
             # 1/5 is no Pruefer coordinate at a factor of prime 3
             (Sample(AmbientSignature((3,), 0, 0), 5, 1, ((1,),), ((),)), ((1,), 0, ()),
@@ -538,8 +539,8 @@ class TestCodedSample:
             (Sample(AmbientSignature((), 1, 1, free_mode=INTEGER), 1, 2, ((),), ((1,),)), ((), 1, (1,)),
              "free coordinate 1/2 is not an integer"),
             # a mask with a bit above s, or a negative one, names no order-2 part
-            (Sample(AmbientSignature((), 2, 0), 1, 1, ((),), ((),)), ((), 4, ()), "t mask 4 is not a mask of 2 bits"),
-            (Sample(AmbientSignature((), 2, 0), 1, 1, ((),), ((),)), ((), -1, ()), "t mask -1 is not a mask of 2 bits"),
+            (t_block, ((), 4, ()), "t mask 4 is not a mask of 2 bits"),
+            (t_block, ((), -1, ()), "t mask -1 is not a mask of 2 bits"),
         ]
         for sample, (d, t, q), message in invalid:
             with pytest.raises(ValueError) as from_element:
