@@ -20,7 +20,7 @@ start = time.perf_counter()
 report = find_mono_triples(sample)
 elapsed = time.perf_counter() - start
 print("demo-default sample:", json.dumps(spec.describe()["signature"]))
-print(f"  {report.distinct} elements, {report.pairs} pairs, "
+print(f"  {report.size} elements, {report.pairs} pairs, "
       f"{report.candidate_pairs} bucket-filtered candidates, "
       f"{len(report.violations)} violations, {elapsed:.3f}s")
 

@@ -27,7 +27,7 @@ print("  witness verified, no mono pair:",
 print("\nminimum colours avoiding all monochromatic pairs:")
 for orders in [(4,), (2,), (2, 2), (4, 2), (4, 4), (8,), (3,)]:
     res = min_colours_avoiding(FiniteGroupSpec(orders))
-    print(f"  {str(orders):10s} -> {res.count}")
+    print(f"  {str(orders):10s} -> {res.min_colours}")
 
 print("\nbudget exhaustion is a verdict, never a wrong answer:")
 starved = all_colourings_forced(FiniteGroupSpec((4, 4)), 3, budget=10)

@@ -222,7 +222,7 @@ class AmbientElement:
     # -- canonical text --------------------------------------------------
 
     def canonical_text(self) -> str:
-        """The text form above; ``verifier.Sample.text`` reproduces it from part texts."""
+        """The text form above; ``verifier.Sample.coset_texts`` reproduces it from part texts."""
         d_part = ",".join(f"{idx}={coord}" for idx, coord in self.d)
         t_part = "".join(str(b) for b in self.t)
         q_part = ",".join(str(v) for v in self.q)

@@ -10,17 +10,11 @@ DEFAULT_GROUP_CAP = 4096
 DEFAULT_BUDGET = 1_000_000
 DROPPED_LAYERS = ("d", "y", "halvable")  # keys of colouring.DROPPED_LAYER_COLOURINGS
 
-# Miller-Rabin with the first t primes as bases decides primality of every n
-# below psi_t, the least strong pseudoprime to all of them: _MR_PSI[t - 1] is
-# psi_t (Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp.
-# 86 (2017)).  MR_BOUND = psi_13 ends the proven range.
+# Miller-Rabin with the first 13 primes as bases decides primality of every n
+# below psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86 (2017)).  MR_BOUND = psi_13 ends the proven range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PSI = (
-    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
-    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
-)
-MR_BOUND = _MR_PSI[-1]
+MR_BOUND = 3317044064679887385961981
 
 
 class PrimalityUnknown(ValueError):
@@ -38,13 +32,10 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 43 * 43:  # a composite below 43^2 has a prime factor of at most 41
         return True
-    for t, psi in enumerate(_MR_PSI, 1):
-        if n < psi:
-            break
     d = n - 1
     k = (d & -d).bit_length() - 1
     d >>= k
-    for a in _MR_BASES[:t]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -154,6 +145,6 @@ def _report_value(value):
 def describe_fields(self) -> dict:
     """A record's own annotated fields in declaration order, as report values.  A record
     sets ``describe = describe_fields`` or adds or overwrites one key on top of it."""
-    # TripleReport and CosetReport insert a derived key between fields and MinColoursResult
-    # writes its field count as min_colours, so those three write their own blocks.
+    # TripleReport and CosetReport insert derived keys between fields, so those two
+    # write their own blocks.
     return {n: _report_value(getattr(self, n)) for n in self.__class__.__dict__.get("__annotations__", {})}

@@ -424,7 +424,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     report["coset_report"] = coset.describe()
     print(
         f"evaluated {triple.candidate_pairs} candidate pairs (pairs sharing the colour "
-        f"of their doubles) of {triple.pairs} nominal pairs over {triple.distinct} "
+        f"of their doubles) of {triple.pairs} nominal pairs over {triple.size} "
         f"elements: {len(triple.violations)} violations",
         file=sys.stderr,
     )
@@ -474,7 +474,7 @@ def cmd_search(args) -> tuple[dict, int]:
         print("verdict: unknown (budget exceeded)", file=sys.stderr)
         return report, EXIT_BUDGET
     if args.min_colours:
-        print(f"min colours avoiding: {res.count}", file=sys.stderr)
+        print(f"min colours avoiding: {res.min_colours}", file=sys.stderr)
     else:
         print(f"verdict: {res.verdict}", file=sys.stderr)
     return report, EXIT_OK

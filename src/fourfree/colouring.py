@@ -10,7 +10,7 @@ equal second profiles force equal free parts, and then 2a is halvable while
 a+b (which differs from 2a only by a nonzero order-2 part) is not, because
 each coset of the order-2 block contains at most one halvable element.
 
-Colour text encoding (stable, injective, decodable)::
+Colour text encoding (stable, injective)::
 
     D[v1,v2,...]|Y[w1,...]|H<0|1>
 
@@ -20,7 +20,6 @@ with values as reduced fraction strings; the zero element encodes as
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .ambient import INTEGER, AmbientElement, Profile, element
@@ -33,7 +32,6 @@ __all__ = [
     "halve",
     "colour",
     "colour_encode",
-    "colour_decode",
     "colour_drop_d",
     "colour_drop_y",
     "colour_drop_halvable",
@@ -114,27 +112,6 @@ def _encode_values(values) -> str:
 
 def colour_encode(c: Colour) -> str:
     return f"D[{_encode_values(c.d_profile)}]|Y[{_encode_values(c.y_profile)}]|H{int(c.halvable)}"
-
-
-_COLOUR_RE = re.compile(r"^D\[(?P<d>[^\[\]|]*)\]\|Y\[(?P<y>[^\[\]|]*)\]\|H(?P<h>[01])$")
-
-
-def _decode_values(body: str) -> tuple[Fraction, ...]:
-    if not body:
-        return ()
-    return tuple(Fraction(item) for item in body.split(","))
-
-
-def colour_decode(text: str) -> Colour:
-    m = _COLOUR_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"not a colour encoding: {text!r}")
-    try:
-        d_vals = _decode_values(m.group("d"))
-        y_vals = _decode_values(m.group("y"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad colour value in {text!r}: {exc}") from None
-    return Colour(Profile(d_vals), Profile(y_vals), m.group("h") == "1")
 
 
 # Diagnostic colourings with one layer removed; each layer is load-bearing,

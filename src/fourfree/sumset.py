@@ -213,14 +213,16 @@ def find_mono_pair_sumset(
 
 
 class _Witnessed:
-    """A search result's ``witness`` (a colour per element, lex order) keyed by element; no fields."""
+    """A search result's ``witness`` (a colour per element, lex order) keyed by
+    element, and its report block with that table as ``witness``; no fields."""
 
     def witness_table(self) -> dict[Elem, int] | None:
         return None if self.witness is None else dict(zip(self.group.elements(), self.witness))
 
-    def witness_json(self) -> dict[str, int] | None:
+    def describe(self) -> dict:
         table = self.witness_table()
-        return None if table is None else {str(list(e)): c for e, c in table.items()}
+        witness = None if table is None else {str(list(e)): c for e, c in table.items()}
+        return {**describe_fields(self), "witness": witness}
 
 
 @record
@@ -230,9 +232,6 @@ class SearchResult(_Witnessed):
     verdict: str  # "forced" | "not_forced" | "unknown"
     witness: tuple[int, ...] | None  # colour per element, lex element order
     nodes: int
-
-    def describe(self) -> dict:
-        return {**describe_fields(self), "witness": self.witness_json()}
 
 
 @functools.lru_cache(maxsize=1)
@@ -376,18 +375,9 @@ def all_colourings_forced(
 class MinColoursResult(_Witnessed):
     group: FiniteGroupSpec
     verdict: str  # "ok" | "unknown"
-    count: int | None
+    min_colours: int | None
     witness: tuple[int, ...] | None
     nodes: int
-
-    def describe(self) -> dict:
-        return {
-            "group": self.group.describe(),
-            "verdict": self.verdict,
-            "min_colours": self.count,
-            "witness": self.witness_json(),
-            "nodes": self.nodes,
-        }
 
 
 def min_colours_avoiding(

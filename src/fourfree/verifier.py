@@ -198,9 +198,8 @@ class Sample(abc.Sequence):
     As a read-only sequence the sample yields its elements, and an index or a
     slice gives an element or a list of them: :meth:`element` decodes a code
     on demand, and equal parts of different elements are decoded once and
-    shared; :meth:`text` joins a code's canonical text from texts written once
-    per distinct part, and :meth:`coset_texts` the texts of a coset of the
-    order-2 block.
+    shared; :meth:`coset_texts` writes the canonical texts of a coset of the
+    order-2 block from texts written once per distinct part.
     """
 
     signature: AmbientSignature
@@ -232,13 +231,10 @@ class Sample(abc.Sequence):
         d, t, q = code
         return AmbientElement(self.signature, self._d(d), self._t(t), self._q(q))
 
-    def text(self, code: _Code) -> str:
-        """``self.element(code).canonical_text()``, joined from its cached part texts."""
-        return ";".join(map(self._texts, range(3), code))
-
     def coset_texts(self, d: tuple[int, ...], q: tuple[int, ...], ts: abc.Iterable[int]) -> dict[int, str]:
-        """``{t: self.text((d, t, q)) for t in ts}``, with the coset's d and q
-        texts joined once and only the t text varied per element."""
+        """``{t: self.element((d, t, q)).canonical_text() for t in ts}``, joined
+        from texts written once per distinct part: the coset's d and q texts are
+        joined once and only the t text varies per element."""
         head, tail = self._texts(0, d) + ";", ";" + self._texts(2, q)
         return {t: head + self._texts(1, t) + tail for t in ts}
 
@@ -317,7 +313,6 @@ class TripleReport:
     """Outcome of one pair sweep; violations in canonical text order."""
 
     size: int
-    distinct: int
     pairs: int
     n_buckets: int
     candidate_pairs: int
@@ -330,7 +325,7 @@ class TripleReport:
     def describe(self) -> dict:
         return {
             "size": self.size,
-            "distinct": self.distinct,
+            "distinct": self.size,  # equal on a window; leaves with report format v2
             "pairs": self.pairs,
             "n_buckets": self.n_buckets,
             "candidate_pairs": self.candidate_pairs,
@@ -434,7 +429,6 @@ def find_mono_triples(
     violations.sort()
     return TripleReport(
         size=n,
-        distinct=n,
         pairs=n * (n - 1) // 2,
         n_buckets=len(by_d) * len(by_q),
         candidate_pairs=(len(ts) ** 2 * d_square * q_square - n) // 2,

@@ -63,7 +63,7 @@ def test_c01_main_exhaustive_sweep():
     report = find_mono_triples(sample)
     elapsed = time.perf_counter() - start
     ok = (
-        report.distinct >= 1_000
+        report.size >= 1_000
         and report.pairs >= 500_000
         and not report.violations
         and elapsed < 60.0
@@ -71,7 +71,7 @@ def test_c01_main_exhaustive_sweep():
     verdict(
         "C1",
         ok,
-        f"main sweep: {report.distinct} elements, {report.pairs} pairs, "
+        f"main sweep: {report.size} elements, {report.pairs} pairs, "
         f"{len(report.violations)} violations, {elapsed:.1f}s (< 60s)",
     )
 
@@ -275,7 +275,7 @@ def test_c10_contrast_data_points():
         forced1.verdict == "forced"
         and forced2.verdict == "not_forced"
         and find_mono_pair_sumset(z4, forced2.witness_table()) is None
-        and min_res.count == 2
+        and min_res.min_colours == 2
         and find_mono_pair_sumset(z4, min_res.witness_table()) is None
         and brute_force_forced(z4, 1) is True  # raw enumeration, 1 assignment
         and brute_force_forced(z4, 2) is False  # raw enumeration, 16 assignments

@@ -81,7 +81,7 @@ _PSI_AND_GAP = [
 
 @pytest.mark.parametrize("psi, gap", _PSI_AND_GAP)
 def test_each_base_prefix_stops_below_its_pseudoprime(psi, gap):
-    # psi_t passes the first t bases, so at psi_t is_prime must use more of them
+    # psi_t passes the first t bases, so a later one of the 13 must reject it
     assert not is_prime(psi)
     assert not any(is_prime(n) for n in range(psi + 1, psi + gap))
     assert is_prime(psi + gap)

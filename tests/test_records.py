@@ -171,7 +171,7 @@ def test_post_init_normalises_fields():
     assert Profile((1, 2)).values == (Fraction(1), Fraction(2))
     assert Presentation(1, [[2]]).relations == ((2,),)
     assert CanonicalDecomposition(0, [(5, 1), (3, 2)]).primary_factors == ((3, 2), (5, 1))
-    assert HALVES.text(((HALVES.M // 3, 0), 0b10, (-HALVES.L // 2,))) == A.canonical_text()
+    assert HALVES.coset_texts((HALVES.M // 3, 0), (-HALVES.L // 2,), [0b10]) == {0b10: A.canonical_text()}
 
 
 @record

@@ -102,7 +102,7 @@ def reference_pairs(group):
 
 
 def reference_min_colours(group, budget):
-    """Oracle for ``min_colours_avoiding``: (verdict, count, witness, nodes)."""
+    """Oracle for ``min_colours_avoiding``: (verdict, min_colours, witness, nodes)."""
     nodes = 0
     for c in range(1, group.size + 1):
         verdict, witness, used = reference_forced(group, c, budget - nodes)
@@ -141,7 +141,7 @@ class TestAgainstPerAttemptOracle:
         group = FiniteGroupSpec(orders)
         for budget in (0, 5, 100, 5_000, 30_000):
             res = min_colours_avoiding(group, budget=budget)
-            assert (res.verdict, res.count, res.witness, res.nodes) == reference_min_colours(
+            assert (res.verdict, res.min_colours, res.witness, res.nodes) == reference_min_colours(
                 group, budget
             ), budget
 
@@ -158,7 +158,7 @@ class TestAgainstPerAttemptOracle:
         group = FiniteGroupSpec(orders)
         if colours is None:
             res = min_colours_avoiding(group, budget=budget)
-            assert (res.verdict, res.count, res.witness, res.nodes) == reference_min_colours(
+            assert (res.verdict, res.min_colours, res.witness, res.nodes) == reference_min_colours(
                 group, budget
             )
         else:
@@ -371,20 +371,20 @@ class TestAllColouringsForced:
 class TestMinColoursAvoiding:
     def test_z4_needs_two(self):
         res = min_colours_avoiding(Z4)
-        assert res.count == 2
+        assert res.min_colours == 2
         assert find_mono_pair_sumset(Z4, res.witness_table()) is None
 
     def test_z2_z2_needs_two(self):
         res = min_colours_avoiding(Z2Z2)
-        assert res.count == 2
+        assert res.min_colours == 2
 
     def test_trivial_group_needs_one(self):
         res = min_colours_avoiding(FiniteGroupSpec(()))
-        assert res.count == 1
+        assert res.min_colours == 1
 
     def test_budget_exhaustion_reported(self):
         res = min_colours_avoiding(Z4, budget=0)
-        assert res.verdict == "unknown" and res.count is None
+        assert res.verdict == "unknown" and res.min_colours is None
 
     def test_budget_covers_the_whole_run(self):
         # Z4 + Z4 needs 12,316 nodes over colour counts 1..4 in all
@@ -392,7 +392,7 @@ class TestMinColoursAvoiding:
         short = min_colours_avoiding(group, budget=12_100)
         assert short.verdict == "unknown" and short.nodes <= 12_100
         exact = min_colours_avoiding(group, budget=12_316)
-        assert exact.verdict == "ok" and exact.count == 4 and exact.nodes == 12_316
+        assert exact.verdict == "ok" and exact.min_colours == 4 and exact.nodes == 12_316
 
 
     def test_negative_budget_rejected(self):
@@ -411,7 +411,7 @@ class TestMinColoursAvoiding:
         monkeypatch.setattr(sumset, "all_colourings_forced", search)
         group = FiniteGroupSpec((4, 4))
         sumset._pair_constraints.cache_clear()
-        assert min_colours_avoiding(group).count == 4
+        assert min_colours_avoiding(group).min_colours == 4
         info = infos[-1]
         assert (info.misses, info.hits) == (1, 3)  # colour counts 1..4, one build
         split, kernels = sumset._pair_constraints(group)

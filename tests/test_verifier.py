@@ -6,8 +6,10 @@ import inspect
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -127,7 +129,7 @@ class TestFindMonoTriples:
         spec = SHIPPED_SAMPLES["demo-default"]
         report = find_mono_triples(enumerate_sample(spec))
         assert report.ok
-        assert report.distinct == 180 and report.pairs == 16110
+        assert report.size == 180 and report.pairs == 16110
 
     @pytest.mark.parametrize("layer,sample_name", [
         ("halvable", "t-block"),
@@ -144,7 +146,7 @@ class TestFindMonoTriples:
     def test_depth_two_sweep_clean(self):
         spec = SHIPPED_SAMPLES["depth-two"]
         report = find_mono_triples(enumerate_sample(spec))
-        assert report.ok and report.distinct == 9 * 25 * 4 * 7
+        assert report.ok and report.size == 9 * 25 * 4 * 7
 
     def test_single_layer_colourings_also_violate(self):
         # degenerate colourings made of one layer alone are caught too
@@ -269,7 +271,7 @@ class TestBruteForceOracle:
             assert report.violations == violations, (name, fn_name)
             assert report.n_buckets == n_buckets, (name, fn_name)
             assert report.candidate_pairs == candidates, (name, fn_name)
-            assert report.size == report.distinct == len(set(sample))
+            assert report.size == len(set(sample))
 
     def test_depth_two_drop_d_is_pinned(self):
         """depth-two under drop-d, which the brute force cannot finish, pinned
@@ -278,9 +280,9 @@ class TestBruteForceOracle:
         was deleted."""
         sample = enumerate_sample(SHIPPED_SAMPLES["depth-two"])
         report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"])
-        counts = (report.size, report.distinct, report.pairs, report.n_buckets, report.candidate_pairs)
-        assert counts == (6_300, 6_300, 19_841_850, 7, 2_831_850)
-        assert len(report.violations) == 705_600
+        counts = (report.size, report.pairs, report.n_buckets, report.candidate_pairs)
+        assert counts == (6_300, 19_841_850, 7, 2_831_850)
+        assert len(report.violations) == 705_600 == predicted_violations(sample, "drop-d") == comb(225, 2) * 4 * 7
         digest = hashlib.sha256("".join("\t".join(v) + "\n" for v in sorted(report.violations)).encode())
         assert digest.hexdigest() == "0d13355c24cd7ba414c9fa1c93903c20327b9fbbb890f43c3a404a77cb6fe505"
 
@@ -317,7 +319,63 @@ class TestDrawnWindows:
             assert report.violations == violations, fn_name
             assert report.n_buckets == n_buckets, fn_name
             assert report.candidate_pairs == candidates, fn_name
-            assert report.size == report.distinct == len(set(sample)), fn_name
+            assert report.size == len(set(sample)), fn_name
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=small_windows())
+    @example(spec=SampleSpec(AmbientSignature((), 1, 1, free_mode=INTEGER), q_numerator_bound=2))
+    def test_census_matches_listed_elements(self, spec):
+        sample = enumerate_sample(spec)
+        listed = [listed_element(sample, code) for code in codes(sample)]
+        report = check_coset_uniqueness(sample)
+        counts = (len(listed), len({(a.d, a.q) for a in listed}), sum(map(is_halvable, listed)))
+        assert (report.n_elements, report.n_cosets, report.n_halvable) == counts
+
+
+def predicted_violations(sample, fn_name):
+    """The violation count that the lemmas still in force fix for a window
+    under ``fn_name``, from its d parts D, q parts Q, T = 2^s t masks and
+    size n.  Dropping h leaves (L_d) and (L_y): a and b share a coset and
+    differ in t.  Dropping d leaves (L_y): qa = qb, and a halvable a+b needs
+    ta = tb.  Dropping y leaves (L_d): da = db, ta = tb, and in integer mode
+    qa + qb even in every coordinate, so q parts pair within a parity class."""
+    n_d, n_t, n_q = len(sample.d_codes), len(sample.t_masks), len(sample.q_codes)
+    integer = sample.signature.free_mode == INTEGER
+    classes = Counter(tuple(v % 2 for v in q) if integer else () for q in sample.q_codes)
+    return {
+        "colour": 0,
+        "drop-halvable": n_d * n_q * comb(n_t, 2),
+        "drop-d": comb(n_d, 2) * n_t * n_q,
+        "drop-y": n_d * n_t * sum(comb(size, 2) for size in classes.values()),
+        "constant": comb(n_d * n_t * n_q, 2),
+    }[fn_name]
+
+
+# Closed-form cases predicted above this many violations are not swept: main-sweep
+# under drop-d, drop-y and constant, and depth-two under drop-d and constant.
+_CLOSED_FORM_LIMIT = 300_000
+_NAMED_WINDOWS = {**SHIPPED_SAMPLES, **ORACLE_SAMPLES}
+
+
+class TestClosedFormCounts:
+    """Each colouring's violation count is the closed form that the proof's
+    lemmas predict, on windows the brute force cannot finish too."""
+
+    @staticmethod
+    def assert_counts_predicted(sample):
+        for fn_name, fn in ORACLE_COLOURINGS.items():
+            predicted = predicted_violations(sample, fn_name)
+            if predicted <= _CLOSED_FORM_LIMIT:
+                assert len(find_mono_triples(sample, fn).violations) == predicted, fn_name
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_WINDOWS))
+    def test_named_windows(self, name):
+        self.assert_counts_predicted(enumerate_sample(_NAMED_WINDOWS[name]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=small_windows())
+    def test_drawn_windows(self, spec):
+        self.assert_counts_predicted(enumerate_sample(spec))
 
 
 def _mutant(d=tuple, y=tuple):
@@ -371,11 +429,15 @@ class TestCosetUniqueness:
         assert report.n_halvable == report.n_cosets
 
     def test_integer_mode_odd_values_have_no_halvable(self):
-        sample = enumerate_sample(SampleSpec(AmbientSignature((), 1, 1, free_mode=INTEGER), q_numerator_bound=3))
-        report = check_coset_uniqueness(sample)
-        assert report.ok and report.n_cosets == 7
-        assert report.n_halvable == sum(map(is_halvable, sample)) == 3  # t = 0 and q in {-2, 0, 2}
-        assert not any(is_halvable(a) for a in sample if a.q[0].numerator % 2)
+        # halvable: t = 0 and q even; a test of bit 1 (v & 2) in place of bit 0
+        # counts 3 at q bound 3 too, but 2 at bounds 1 and 2
+        for bound, n_halvable in [(1, 1), (2, 3), (3, 3)]:
+            spec = SampleSpec(AmbientSignature((), 1, 1, free_mode=INTEGER), q_numerator_bound=bound)
+            sample = enumerate_sample(spec)
+            report = check_coset_uniqueness(sample)
+            assert report.ok and report.n_cosets == 2 * bound + 1
+            assert report.n_halvable == sum(map(is_halvable, sample)) == n_halvable, bound
+            assert not any(is_halvable(a) for a in sample if a.q[0].numerator % 2)
 
     def test_every_shipped_sample(self):
         """The census of each shipped window is what counting its listed
@@ -419,7 +481,7 @@ class TestCodedSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (triple.distinct, triple.n_buckets, triple.candidate_pairs) == (44_100, 9_675, 87_750)
+        assert (triple.size, triple.n_buckets, triple.candidate_pairs) == (44_100, 9_675, 87_750)
         assert triple.ok and coset.ok and coset.n_cosets == 11_025
         assert peak < 1_000_000
 
@@ -430,7 +492,7 @@ class TestCodedSample:
                           q_denominator_bound=2)
         sample = enumerate_sample(spec, cap=1_000_000)
         triple, coset = find_mono_triples(sample), check_coset_uniqueness(sample)
-        assert (triple.distinct, triple.n_buckets, triple.candidate_pairs) == (661_500, 145_125, 1_316_250)
+        assert (triple.size, triple.n_buckets, triple.candidate_pairs) == (661_500, 145_125, 1_316_250)
         assert triple.ok and coset.ok
         assert coset.n_elements == 661_500 and coset.n_cosets == coset.n_halvable == 165_375
 
@@ -494,17 +556,18 @@ class TestCodedSample:
 
     @staticmethod
     def assert_texts_match(sample, drawn):
-        """``text`` and ``coset_texts`` write the canonical text of the listed
-        element of each drawn code, and ``element`` decodes that element."""
-        cosets = set()
+        """``coset_texts`` writes the canonical text of the listed element of
+        each drawn code, alone and with the other drawn codes of its coset, and
+        ``element`` decodes that element."""
+        cosets: dict = {}
         for code in drawn:
             d, t, q = code
             listed = listed_element(sample, code)
             assert sample.element(code) == listed
-            assert sample.text(code) == listed.canonical_text()
-            cosets.add((d, q))
-        for d, q in cosets:
-            assert sample.coset_texts(d, q, sample.t_masks) == {t: sample.text((d, t, q)) for t in sample.t_masks}
+            assert sample.coset_texts(d, q, [t]) == {t: listed.canonical_text()}
+            cosets.setdefault((d, q), {})[t] = listed.canonical_text()
+        for (d, q), texts in cosets.items():
+            assert sample.coset_texts(d, q, texts) == texts
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_SAMPLES))
     def test_text_matches_canonical_text(self, name):
@@ -545,12 +608,10 @@ class TestCodedSample:
         for sample, (d, t, q), message in invalid:
             with pytest.raises(ValueError) as from_element:
                 sample.element((d, t, q))
-            with pytest.raises(ValueError) as from_text:
-                sample.text((d, t, q))
             with pytest.raises(ValueError) as from_coset_texts:
                 sample.coset_texts(d, q, [t])
-            assert str(from_coset_texts.value) == str(from_text.value) == str(from_element.value) == message
-            assert type(from_coset_texts.value) is type(from_text.value) is type(from_element.value)
+            assert str(from_coset_texts.value) == str(from_element.value) == message
+            assert type(from_coset_texts.value) is type(from_element.value)
 
     @pytest.mark.parametrize("fn", [find_mono_triples, check_coset_uniqueness])
     def test_report_text_comes_from_sample_text(self, fn):
@@ -562,4 +623,4 @@ class TestCodedSample:
             for node in ast.walk(ast.parse(inspect.getsource(fn)))
         }
         assert "canonical_text" not in names
-        assert bool(names & {"text", "coset_texts"}) == (fn is find_mono_triples)
+        assert ("coset_texts" in names) == (fn is find_mono_triples)
