@@ -34,7 +34,6 @@ __all__ = [
     "INTEGER",
     "AmbientSignature",
     "AmbientElement",
-    "Profile",
     "SignatureMismatch",
     "ElementParseError",
     "element",
@@ -76,32 +75,6 @@ class AmbientSignature:
             raise ValueError(f"unknown free mode {self.free_mode!r}")
 
     describe = describe_fields
-
-
-@record
-class Profile:
-    """Nonzero coordinate values of a direct-sum element, in index order.
-
-    Indices are discarded, so elements with different supports may share a
-    profile.
-    """
-
-    values: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        values = tuple([v if type(v) is Fraction else Fraction(v) for v in self.values])
-        object.__setattr__(self, "values", values)
-        if 0 in self.values:
-            raise ValueError("profiles contain no zero values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __bool__(self) -> bool:
-        return bool(self.values)
 
 
 def _is_power_of(den: int, p: int) -> bool:
@@ -213,11 +186,11 @@ class AmbientElement:
 
     # -- views -----------------------------------------------------------
 
-    def d_profile(self) -> Profile:
-        return Profile(tuple(coord for _, coord in self.d))
+    def d_profile(self) -> tuple[Fraction, ...]:
+        return tuple([coord for _, coord in self.d])
 
-    def q_profile(self) -> Profile:
-        return Profile(tuple(v for v in self.q if v))
+    def q_profile(self) -> tuple[Fraction, ...]:
+        return tuple([v for v in self.q if v])
 
     # -- canonical text --------------------------------------------------
 

@@ -15,14 +15,15 @@ Colour text encoding (stable, injective)::
     D[v1,v2,...]|Y[w1,...]|H<0|1>
 
 with values as reduced fraction strings; the zero element encodes as
-``D[]|Y[]|H1``.
+``D[]|Y[]|H1``.  A profile is a tuple of Fractions; ``verify --drop-layer``
+writes a dropped-layer key, a plain tuple, as its repr.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ambient import INTEGER, AmbientElement, Profile, element
+from .ambient import INTEGER, AmbientElement, element
 from .arith import DROPPED_LAYERS, record
 
 __all__ = [
@@ -46,8 +47,8 @@ class NotHalvable(ValueError):
 
 @record
 class Colour:
-    d_profile: Profile
-    y_profile: Profile
+    d_profile: tuple[Fraction, ...]
+    y_profile: tuple[Fraction, ...]
     halvable: bool
 
 

@@ -16,7 +16,6 @@ from fourfree.ambient import (
     AmbientElement,
     AmbientSignature,
     ElementParseError,
-    Profile,
     SignatureMismatch,
     element,
     zero,
@@ -167,21 +166,17 @@ class TestGroupLaws:
 
 class TestProfileSupport:
     def test_profile_of_zero(self):
-        assert zero(SIG).d_profile() == Profile(())
-        assert zero(SIG).q_profile() == Profile(())
+        assert zero(SIG).d_profile() == ()
+        assert zero(SIG).q_profile() == ()
 
     def test_profile_of_d_map(self):
         a = element(SIG, d={1: Fraction(2, 5), 0: Fraction(1, 9)})
-        assert a.d_profile().values == (Fraction(1, 9), Fraction(2, 5))
+        assert a.d_profile() == (Fraction(1, 9), Fraction(2, 5))
 
     def test_profile_skips_zeros(self):
         sig = AmbientSignature((), r=3)
         prof = element(sig, q=(0, Fraction(3, 2), -1)).q_profile()
-        assert prof.values == (Fraction(3, 2), Fraction(-1))
-
-    def test_profile_rejects_zero_value(self):
-        with pytest.raises(ValueError):
-            Profile((Fraction(0),))
+        assert prof == (Fraction(3, 2), Fraction(-1))
 
     def test_same_profile_different_support(self):
         # indices are discarded, so profiles can coincide across supports
@@ -354,7 +349,7 @@ class TestProfileTail:
         assume(a.d)
         first = a.d[0][0]
         rest = element(TAIL_SIG, d={i: v for i, v in a.d if i != first}, t=a.t, q=a.q)
-        assert rest.d_profile().values == a.d_profile().values[1:]
+        assert rest.d_profile() == a.d_profile()[1:]
         assert rest.q_profile() == a.q_profile()
 
     @settings(max_examples=300)
@@ -363,5 +358,12 @@ class TestProfileTail:
         first = next((j for j, v in enumerate(a.q) if v), None)
         assume(first is not None)
         rest = element(TAIL_SIG, d=a.d, t=a.t, q=[0 if j == first else v for j, v in enumerate(a.q)])
-        assert rest.q_profile().values == a.q_profile().values[1:]
+        assert rest.q_profile() == a.q_profile()[1:]
         assert rest.d_profile() == a.d_profile()
+
+    @settings(max_examples=300)
+    @given(tail_elements())
+    def test_profiles_hold_no_zero(self, a):
+        # element() drops zero coordinates, so a profile is exactly the support's values
+        assert 0 not in a.d_profile()
+        assert 0 not in a.q_profile()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fourfree.ambient import (
     INTEGER,
     AmbientSignature,
-    Profile,
     element,
     zero,
 )
@@ -144,26 +143,26 @@ class TestHalve:
 class TestColour:
     def test_zero_colour(self):
         c = colour(zero(SIG))
-        assert c == Colour(Profile(()), Profile(()), True)
+        assert c == Colour((), (), True)
 
     def test_documented_example(self):
         a = element(
             SIG, d={0: Fraction(1, 9), 1: Fraction(2, 5)}, q=(0, Fraction(3, 2))
         )
         c = colour(a)
-        assert c.d_profile.values == (Fraction(1, 9), Fraction(2, 5))
-        assert c.y_profile.values == (Fraction(3, 2),)
+        assert c.d_profile == (Fraction(1, 9), Fraction(2, 5))
+        assert c.y_profile == (Fraction(3, 2),)
         assert c.halvable
 
         cd = colour(a.double())
-        assert cd.d_profile.values == (Fraction(2, 9), Fraction(4, 5))
-        assert cd.y_profile.values == (Fraction(3),)
+        assert cd.d_profile == (Fraction(2, 9), Fraction(4, 5))
+        assert cd.y_profile == (Fraction(3),)
         assert cd.halvable
 
 
 _VALUES = st.lists(st.fractions(min_value=-5, max_value=5).filter(lambda f: f != 0), max_size=4)
 _COLOURS = st.builds(
-    lambda d, y, h: Colour(Profile(tuple(d)), Profile(tuple(y)), h), _VALUES, _VALUES, st.booleans()
+    lambda d, y, h: Colour(tuple(d), tuple(y), h), _VALUES, _VALUES, st.booleans()
 )
 
 
@@ -191,7 +190,7 @@ class TestColourEncoding:
             for d_vals in product(vals, repeat=n_d):
                 for y_vals in product([Fraction(1), Fraction(-1, 2)], repeat=1):
                     for h in (False, True):
-                        c = Colour(Profile(d_vals), Profile(y_vals), h)
+                        c = Colour(d_vals, y_vals, h)
                         colours.add(c)
                         texts.add(colour_encode(c))
         assert len(texts) == len(colours)
@@ -227,8 +226,8 @@ class TestLayerLemmas:
             a = random_element(rng, sig)
             if not a.d:
                 continue
-            last = a.d_profile().values[-1]
-            doubled = a.double().d_profile().values
+            last = a.d_profile()[-1]
+            doubled = a.double().d_profile()
             assert doubled[-1] == (2 * last) % 1
             assert doubled[-1] != 0
 
@@ -256,3 +255,11 @@ class TestDroppedLayerKeys:
         assert colour_drop_d(a) == ("y+h", full.y_profile, full.halvable)
         assert colour_drop_y(a) == ("d+h", full.d_profile, full.halvable)
         assert colour_drop_halvable(a) == ("d+y", full.d_profile, full.y_profile)
+
+    def test_documented_example_text(self):
+        # a dropped-layer key is written to reports as its repr: plain tuples of Fractions
+        a = element(SIG, d={0: Fraction(1, 9), 1: Fraction(2, 5)}, q=(0, Fraction(3, 2)))
+        assert repr(colour_drop_halvable(a.double())) == (
+            "('d+y', (Fraction(2, 9), Fraction(4, 5)), (Fraction(3, 1),))"
+        )
+        assert repr(colour_drop_d(a.double())) == "('y+h', (Fraction(3, 1),), True)"

@@ -1,10 +1,9 @@
 """Frozen records (``arith.record``) against ``dataclasses`` as the oracle.
 
 Each of the package's record classes must behave as the
-``dataclasses.dataclass(frozen=True)`` it replaces: the same repr (reports
-embed ``repr(Profile(...))`` in colour keys), the same hash (set and dict
-order of colour keys follow it), equality within one class only, frozen
-fields, keyword construction with the same defaults, and ``__post_init__``.
+``dataclasses.dataclass(frozen=True)`` it replaces: the same repr, the same
+hash, equality within one class only, frozen fields, keyword construction
+with the same defaults, and ``__post_init__``.
 A record's report block is its own fields, written by ``arith.describe_fields``.
 """
 
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from fourfree.ambient import AmbientElement, AmbientSignature, Profile, element
+from fourfree.ambient import AmbientElement, AmbientSignature, element
 from fourfree.arith import describe_fields, record
 from fourfree.colouring import Colour, colour
 from fourfree.embedding import EmbeddingMap, build_embedding
@@ -55,7 +54,6 @@ def instances():
     """One instance of each record class."""
     return [
         SIG,
-        A.q_profile(),
         A,
         colour(A),
         build_embedding(canonical_decomposition(Z2_Z6)),
@@ -74,7 +72,7 @@ def instances():
 
 
 RECORDS = [
-    AmbientSignature, Profile, AmbientElement, Colour, EmbeddingMap, SNFResult, Presentation,
+    AmbientSignature, AmbientElement, Colour, EmbeddingMap, SNFResult, Presentation,
     CanonicalDecomposition, FiniteGroupSpec, SearchResult, MinColoursResult, SampleSpec, Sample,
     TripleReport, CosetReport, ObstructionDemo,
 ]
@@ -137,12 +135,11 @@ class TestParityWithDataclass:
 @pytest.mark.parametrize("cls, args, kwargs", [
     (AmbientSignature, [], {}),
     (AmbientSignature, [], {"r": 2}),
-    (Profile, [], {}),
     (AmbientElement, [AmbientSignature((3,))], {}),
     (Presentation, [2], {}),
     (CanonicalDecomposition, [1], {}),
     (SampleSpec, [SIG], {}),
-], ids=["signature", "signature-r", "profile", "element", "presentation", "decomposition",
+], ids=["signature", "signature-r", "element", "presentation", "decomposition",
         "spec"])
 def test_defaults(cls, args, kwargs):
     assert repr(cls(*args, **kwargs)) == repr(twin_class(cls)(*args, **kwargs))
@@ -151,14 +148,13 @@ def test_defaults(cls, args, kwargs):
 @pytest.mark.parametrize("build", [
     lambda: AmbientSignature((4,)),
     lambda: AmbientSignature((3,), -1),
-    lambda: Profile((Fraction(1, 3), 0)),
     lambda: AmbientElement(SIG, d=((0, Fraction(1, 2)),)),
     lambda: Presentation(-1),
     lambda: Presentation(2, ((1, 2, 3),)),
     lambda: CanonicalDecomposition(0, ((4, 1),)),
     lambda: FiniteGroupSpec((1,)),
     lambda: SampleSpec(SIG, prufer_depth=0),
-], ids=["signature-prime", "signature-count", "profile-zero", "element-denominator",
+], ids=["signature-prime", "signature-count", "element-denominator",
         "presentation-count", "presentation-row", "decomposition-prime", "group-order",
         "spec-depth"])
 def test_post_init_rejects_bad_input(build):
@@ -168,7 +164,6 @@ def test_post_init_rejects_bad_input(build):
 
 def test_post_init_normalises_fields():
     assert AmbientSignature([3, 5]).prufer_factors == (3, 5)
-    assert Profile((1, 2)).values == (Fraction(1), Fraction(2))
     assert Presentation(1, [[2]]).relations == ((2,),)
     assert CanonicalDecomposition(0, [(5, 1), (3, 2)]).primary_factors == ((3, 2), (5, 1))
     assert HALVES.coset_texts((HALVES.M // 3, 0), (-HALVES.L // 2,), [0b10]) == {0b10: A.canonical_text()}

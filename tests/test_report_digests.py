@@ -75,11 +75,11 @@ DIGESTS = {
     "verify-y-layer": "97724f904b5a5bb4784f1e47fd9544583c949f1ec6b7cc722d2b8267316f0dfc",
     "verify-odd-square": "248532e344d91efe8b398f48760156f5169084464a4931dc454494425e566493",
     "verify-integer-free": "5623411c6289f583a04d1f3189365079696f3b3cba35cd60332191a17631ca02",
-    "verify-d-layer-drop-d": "622d6d765cb1d572e00f966e20bdd3f84c2781d71569cc0caf4df18a152a9d46",
-    "verify-y-layer-drop-y": "f64af8ff8099ae423e636f42b3132f25fea7c03449e8feaaa556ec8e6f35c0c1",
-    "verify-t-block-drop-halvable": "4b53f45108e418fcdfc607bf93d80014e390c6fad44d5d34e2bc90245ae61fbf",
-    "verify-depth-two-drop-halvable": "e23bde37a776162e87629ab9069f4c29ba5e69481703f61fbc56e0d8a596a35b",
-    "verify-demo-default-drop-halvable": "a538ad15e52314936a842167ad61b4d17390b42866b555873856e47f8fbff98f",
+    "verify-d-layer-drop-d": "7a4d61db97ccb922afb767add2a8663ffc6b4577b6704d6b57455ff17516459d",
+    "verify-y-layer-drop-y": "bc40ef40676aa209472d4baa2a8c8169b4fdb9880754efeda1254ff4be6cd3c3",
+    "verify-t-block-drop-halvable": "e56d120f42caca497ec13228b6f1d12295c72efc030845618ca55e10af152d8b",
+    "verify-depth-two-drop-halvable": "bbf0805064a7833e1626b1a1ad97bf951c3914b2bb80956772917b34ec514ecd",
+    "verify-demo-default-drop-halvable": "180856fc3406855e452728db63727d6af80a5cbf7ad9657754a97e2c975ce40d",
     "search-4,4-min": "7accd8b37817c56ad665747b631e95140cb829b7232a73affaedaed2795e1490",
     "search-16-min": "4f3b05d211d6af505a2dc70e38552d7e51bde0860f08fb70b566d413d41ac543",
     "search-27-min": "debc5675979f2c731c48862806389b3ec3ee2210604bb69a3b0429c6b05599c4",
