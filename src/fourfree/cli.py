@@ -49,7 +49,7 @@ import re
 import stat
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 
 from .arith import (
@@ -222,12 +222,16 @@ _BATCH = 4096  # pieces per write
 
 
 def _write_json(value, write) -> None:
-    """Write ``json.dumps(value, indent=2) + "\\n"`` through ``write``.
+    """Write ``json.dumps(value, indent=2) + "\\n"`` through ``write``, where
+    every list, tuple or iterator is written as a JSON array.
 
-    The text is made of pieces (a separator, the indent and a key; a scalar;
-    a closing bracket).  Before each item at any depth, once ``_BATCH``
-    pieces are made, ``write`` gets them joined; it gets the rest at the end.
-    An int past Python's int->str digit limit raises ValueError, as in json.
+    An iterator's items are made only as the writer reaches them, so a report
+    block can hand over a generator of records that are never all held at
+    once.  The text is made of pieces (a separator, the indent and a key; a
+    scalar; a closing bracket).  Before each item at any depth, once
+    ``_BATCH`` pieces are made, ``write`` gets them joined; it gets the rest
+    at the end.  An int past Python's int->str digit limit raises
+    ValueError, as in json.
     """
     pieces = []
     append = pieces.append
@@ -239,26 +243,25 @@ def _write_json(value, write) -> None:
             pieces.clear()
         if isinstance(value, str):
             append(quote(value))
-        elif isinstance(value, (dict, list, tuple)) and value:
+        elif isinstance(value, (dict, list, tuple, Iterator)):
             inner = indent + "  "
             comma = "," + inner
             if isinstance(value, dict):
-                sep = "{" + inner
+                sep, close = "{" + inner, "}"
                 for key, item in value.items():
                     append(sep + quote(key) + ": ")
                     sep = comma
                     put(item, inner)
-                append(indent + "}")
             else:
-                sep = "[" + inner
+                sep, close = "[" + inner, "]"
                 for item in value:
                     append(sep)
                     sep = comma
                     put(item, inner)
-                append(indent + "]")
+            append(indent + close if sep is comma else sep[0] + close)  # {} or [] when empty
         elif isinstance(value, int) and not isinstance(value, bool):
             append(int.__repr__(value))
-        else:  # None, a bool, a float, {} or []
+        else:  # None, a bool or a float
             append(json.dumps(value))
 
     put(value, "\n")
@@ -273,21 +276,21 @@ def _emit(report: dict, output: str | None) -> None:
     A regular file (a symlink's target) gets the writer's batches under a
     temporary name in its directory and is renamed into place with the old
     file's mode; the directory must be writable.  Stdout, or a device or pipe
-    such as /dev/null, gets the document in one write once all of it is
-    made.  A report that cannot be serialised (an int past Python's int->str
-    digit limit) is an I/O failure like an unwritable path.
+    such as /dev/null, gets the batches one after another once all of them
+    are made, with no copy of the whole document.  A report that cannot be
+    serialised (an int past Python's int->str digit limit) is an I/O failure
+    like an unwritable path.
     """
     try:
         target = os.path.realpath(output) if output else None  # a symlink is written through
         if target is None or (os.path.exists(target) and not os.path.isfile(target)):
             parts = []
             _write_json(report, parts.append)
-            text = "".join(parts)
             if target is None:
-                sys.stdout.write(text)
+                sys.stdout.writelines(parts)
             else:
                 with open(target, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.writelines(parts)
             return
         head, tail = os.path.split(target)
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")

@@ -323,6 +323,9 @@ class TripleReport:
         return not self.violations
 
     def describe(self) -> dict:
+        """The report block.  Its ``"violations"`` is a generator that makes
+        each ``{"a", "b", "colour"}`` record only when it is reached, so the
+        report writer holds one record at a time, not all of them."""
         return {
             "size": self.size,
             "distinct": self.size,  # equal on a window; leaves with report format v2
@@ -330,9 +333,7 @@ class TripleReport:
             "n_buckets": self.n_buckets,
             "candidate_pairs": self.candidate_pairs,
             "n_violations": len(self.violations),
-            "violations": [
-                {"a": a, "b": b, "colour": c} for a, b, c in self.violations
-            ],
+            "violations": ({"a": a, "b": b, "colour": c} for a, b, c in self.violations),
         }
 
 
