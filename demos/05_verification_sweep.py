@@ -39,7 +39,7 @@ for layer, name in [("halvable", "t-block"), ("d", "d-layer"), ("y", "y-layer")]
     print(f"  {name:10s} drop {layer:8s}: {len(dropped.violations):3d} violations; "
           f"all layers: {len(full.violations)}")
     if dropped.violations:
-        a, b, c = dropped.violations[0]
+        a, b, c = next(iter(dropped.violations))
         print(f"      e.g. a={a} b={b} shared key {c}")
 
 print("\nsame window, same report:")

@@ -426,9 +426,10 @@ def cmd_verify(args) -> tuple[dict, int]:
     report["triple_report"] = {"sample": spec.describe(), **triple.describe(), "elapsed_s": elapsed}
     report["coset_report"] = coset.describe()
     print(
-        f"evaluated {triple.candidate_pairs} candidate pairs (pairs sharing the colour "
-        f"of their doubles) of {triple.pairs} nominal pairs over {triple.size} "
-        f"elements: {len(triple.violations)} violations",
+        f"tested {triple.part_pairs} pairs of parts within their groups, covering "
+        f"{triple.candidate_pairs} candidate pairs (pairs sharing the colour of their doubles) "
+        f"of {triple.pairs} nominal pairs over {triple.size} elements: "
+        f"{len(triple.violations)} violations",
         file=sys.stderr,
     )
     return report, EXIT_OK if triple.ok else EXIT_VIOLATIONS

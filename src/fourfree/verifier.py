@@ -4,8 +4,8 @@ A :class:`SampleSpec` describes a finite window onto an infinite ambient
 group: Pruefer coordinates up to a depth, free coordinates in a bounded
 rational (or integer) box, all order-2 bit vectors.  ``find_mono_triples``
 checks every unordered pair a != b of the sample for colour(2a) =
-colour(2b) = colour(a+b); under the three-layer colouring the violation list
-is empty, while degenerate colourings (constant, single-layer drops) produce
+colour(2b) = colour(a+b); under the three-layer colouring there are no
+violations, while degenerate colourings (constant, single-layer drops) produce
 violations that validate the checker itself.
 
 The pair sweep buckets elements by the colour of their double, so only pairs
@@ -27,24 +27,26 @@ The d and y layers of 2a and of a+b read only the d and q parts of a and b,
 so the sweep works part by part, as lemmas (L_d) and (L_y) do: it matches
 pairs of d parts and pairs of q parts separately, and a pair of cosets (d, q)
 of the order-2 block is a hit only where both of its part pairs match (see
-:func:`find_mono_triples`).  A window is counted from its parts, so one
-without violations costs time in its distinct d and q parts and the pairs
-within their groups, not in its |D| |Q| cosets.  An
+:func:`find_mono_triples`).  A window and its violations are counted from its
+parts, so a sweep costs time in its distinct d and q parts and the pairs
+within their groups, not in its |D| |Q| cosets, and holds no violation record.
+The records are made only when they are read, from the partner maps, in
+canonical text order without a sort: element text order is the order of
+(d part text, t mask, q part text).  An
 :class:`~fourfree.ambient.AmbientElement` is built only for the double whose
 colour names a violating bucket, and only that colour text calls the
 colouring, which declares the layers the sweep compares with
-:func:`~fourfree.colouring.reads_layers`; :meth:`Sample.coset_texts` writes a
-violating bucket's cosets from per-part caches of strings, joining each
-coset's shared d and q texts once and varying only the t text.
+:func:`~fourfree.colouring.reads_layers`; element texts are joined from the
+per-part texts of ``Sample.part_text``, each written once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import abc
-from functools import cache
+from functools import cache, partial
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 from .ambient import INTEGER, AmbientElement, AmbientSignature
 from .arith import DEFAULT_SAMPLE_CAP, describe_fields, record, size_text
@@ -198,8 +200,9 @@ class Sample(abc.Sequence):
     As a read-only sequence the sample yields its elements, and an index or a
     slice gives an element or a list of them: :meth:`element` decodes a code
     on demand, and equal parts of different elements are decoded once and
-    shared; :meth:`coset_texts` writes the canonical texts of a coset of the
-    order-2 block from texts written once per distinct part.
+    shared.  ``part_text(k, part)`` is part k (0 d, 1 t, 2 q) of the canonical
+    text of any element with that part, written once per distinct part, so the
+    text of the code (d, t, q) is ``";".join`` of its three part texts.
     """
 
     signature: AmbientSignature
@@ -220,7 +223,7 @@ class Sample(abc.Sequence):
         set_(self, "_d", cache(lambda d: tuple((i, Fraction(x, M)) for i, x in enumerate(d) if x)))
         set_(self, "_t", cache(t_bits))
         set_(self, "_q", cache(lambda q: tuple(Fraction(v, L) for v in q)))
-        set_(self, "_texts", cache(self._part_text))
+        set_(self, "part_text", cache(self._part_text))
 
     @property
     def t_masks(self) -> range:
@@ -230,13 +233,6 @@ class Sample(abc.Sequence):
         """The element with this code, built from the memoised decoded parts."""
         d, t, q = code
         return AmbientElement(self.signature, self._d(d), self._t(t), self._q(q))
-
-    def coset_texts(self, d: tuple[int, ...], q: tuple[int, ...], ts: abc.Iterable[int]) -> dict[int, str]:
-        """``{t: self.element((d, t, q)).canonical_text() for t in ts}``, joined
-        from texts written once per distinct part: the coset's d and q texts are
-        joined once and only the t text varies per element."""
-        head, tail = self._texts(0, d) + ";", ";" + self._texts(2, q)
-        return {t: head + self._texts(1, t) + tail for t in ts}
 
     def _part_text(self, k: int, part) -> str:
         """Part k of the text of the element with this part and zero elsewhere;
@@ -308,15 +304,56 @@ def _partners(groups: dict, match) -> dict:
     return partners
 
 
+class Violations:
+    """The violation records of a sweep: ``(a, b, colour)`` with a < b, in
+    canonical text order.
+
+    ``len()`` is the count, fixed when the sweep ends.  Iterating makes each
+    record only when it is reached, and each iteration makes them afresh, so
+    the records are never all held.  A view equals a view or a tuple with the
+    same records, and hashes as that tuple.
+    """
+
+    __slots__ = ("_count", "_records")
+
+    def __init__(self, count: int, records: abc.Callable[[], abc.Iterator[tuple[str, str, str]]]):
+        self._count, self._records = count, records
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> abc.Iterator[tuple[str, str, str]]:
+        return self._records() if self._count else iter(())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Violations, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip_longest(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Violations(<{self._count} records>)"
+
+
 @record
 class TripleReport:
-    """Outcome of one pair sweep; violations in canonical text order."""
+    """Outcome of one pair sweep.
+
+    ``violations`` is a :class:`Violations` view, counted from the parts and
+    streamed in canonical text order (see :func:`find_mono_triples`).
+    ``part_pairs`` counts the pairs of parts the sweep tested, within the d
+    groups and within the q groups; ``candidate_pairs`` the pairs of elements
+    those tests cover.
+    """
 
     size: int
     pairs: int
     n_buckets: int
     candidate_pairs: int
-    violations: tuple[tuple[str, str, str], ...]
+    part_pairs: int
+    violations: Violations
 
     @property
     def ok(self) -> bool:
@@ -351,13 +388,29 @@ def find_mono_triples(
     counted from the group sizes.  a+b has the parts da + db and qa + qb, so
     the pairs of parts of a group whose sum keeps its key are found once per
     group, as (L_d) and (L_y) each work on one block; with h read in integer
-    mode a q pair must also sum to even free codes.  Two cosets of a bucket
-    are a hit when their d parts are equal or paired and so are their q
-    parts, in both orientations, (da, qa) with (db, qb) and (da, qb) with
-    (db, qa).  One coset is a hit only with h unread, as its a+b has t mask
-    ta ^ tb != 0 and is not halvable; with h read only equal t masks of two
-    cosets match.  Only the buckets that can hold a hit are built: memory
-    follows the distinct parts and the violation records.
+    mode a q pair must also sum to even free codes.
+
+    Write D(d) for d and its partners, Q(q) likewise.  Two cosets (da, qa)
+    and (db, qb) are a hit when db is in D(da) and qb in Q(qa); with h read
+    only their equal t masks pair, T = 2^s element pairs, else all T^2.  One
+    coset holds C(T, 2) violating pairs with h unread, as its a+b has t mask
+    ta ^ tb != 0 and is not halvable, and none with h read.  So the count is
+    fixed from the partner maps, in O(|D| + |Q|):
+
+        |D| |Q| C(T, 2)  (h unread)  +  ((sum |D(d)|)(sum |Q(q)|) - |D| |Q|) / 2
+                                          coset pairs, times T or T^2.
+
+    The records are made only when the report's ``violations`` is iterated,
+    already in canonical text order, with no sort: a d or q part text ends in
+    its only "}" or ")", so neither of two differing ones is a prefix of the
+    other, and every t text has the same length.  Element text order is thus
+    the order of (d text, t mask, q text).  The stream walks the elements in
+    that order, and the partners after an element (d, t, q) are the products
+    (d, t, Q(q) after q), then with h unread (d, t' > t, Q(q)), then
+    (D(d) after d, t or every t', Q(q)), each of part lists in text order.
+    Texts are joined from ``Sample.part_text``, and each bucket's colour text
+    is made when the stream first reaches it, so a window without violations
+    ranks no parts and writes no text.  Memory follows the distinct parts.
     ``sample`` must be a :class:`Sample` from :func:`enumerate_sample`;
     anything else raises ``TypeError``.
     """
@@ -368,7 +421,8 @@ def find_mono_triples(
             "decorate it with fourfree.colouring.reads_layers"
         )
     s = _window(sample)
-    M, ts, n = s.M, s.t_masks, len(s)
+    M, ts = s.M, s.t_masks
+    n_d, n_t, n_q = len(s.d_codes), len(ts), len(s.q_codes)
     integer = s.signature.free_mode == INTEGER
     use_d, use_y, use_h = "d" in layers, "y" in layers, "h" in layers
 
@@ -388,52 +442,60 @@ def find_mono_triples(
     odd = lambda a, b: use_h and integer and any([(x + y) & 1 for x, y in zip(a, b)])
     d_partners = _partners(by_d, lambda a, b, key: d_sum(a, b) == key)
     q_partners = _partners(by_q, lambda a, b, key: y_sum(a, b) == key and not odd(a, b))
-    # Build only the buckets with a hit: with h unread all of them, as a coset
-    # of two t masks is a hit, else those with partners.
-    if use_h:
-        hot_d, hot_q = set(map(d_keys, d_partners)), set(map(y_keys, q_partners))
-        keys = {*product(hot_d, by_q), *product(by_d, hot_q)}
-    else:
-        keys = product(by_d, by_q)
+    d_near, q_near = n_d + sum(map(len, d_partners.values())), n_q + sum(map(len, q_partners.values()))
+    coset_pairs = (d_near * q_near - n_d * n_q) // 2
+    count = coset_pairs * n_t if use_h else coset_pairs * n_t**2 + n_d * n_q * math.comb(n_t, 2)
 
-    violations = []
-    for dk, qk in keys:
-        hits = []
-        for c in product(by_d[dk], by_q[qk]):
-            da, qa = c
-            if not use_h and len(ts) > 1:
-                hits.append((c, c))
-            if da in d_partners or qa in q_partners:
-                for other in product((da, *d_partners.get(da, ())), (qa, *q_partners.get(qa, ()))):
-                    if other > c:
-                        hits.append((c, other))
-        if not hits:
-            continue
-        d, q = hits[0][0]
-        double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
-        key = colour_fn(s.element(double))
-        key_text = colour_encode(key) if isinstance(key, Colour) else repr(key)
-        texts: dict = {}
-        for a, b in hits:
-            for c in (a, b):
-                if c not in texts:
-                    texts[c] = s.coset_texts(*c, ts).values()
-            ta, tb = texts[a], texts[b]
-            if a == b:
-                pairs = combinations(ta, 2)
-            elif use_h:
-                pairs = zip(ta, tb)
-            else:
-                pairs = product(ta, tb)
-            violations += [(x, y, key_text) if x < y else (y, x, key_text) for x, y in pairs]
+    def records():
+        text = s.part_text
+        d_order, q_order = sorted(s.d_codes, key=partial(text, 0)), sorted(s.q_codes, key=partial(text, 2))
+        d_rank, q_rank = ({part: i for i, part in enumerate(order)} for order in (d_order, q_order))
+        heads = cache(lambda d: [f"{text(0, d)};{text(1, t)};" for t in ts])
+        # Each q part's text, the texts of Q(q) in text order, and those after q.
+        q_rows = {}
+        for q in q_order:
+            group = sorted((q, *q_partners.get(q, ())), key=q_rank.__getitem__)
+            texts = [text(2, e) for e in group]
+            i = group.index(q)
+            q_rows[q] = (texts[i], texts[i + 1:], texts)
+        # With h read or one t mask a coset alone holds no pair, so an element
+        # whose d part has no later partner starts a record only where its q
+        # part has a later partner.
+        lone = use_h or n_t == 1
+        q_firsts = [q for q in q_order if q_rows[q][1]]
+        colours: dict = {}
+        for d in d_order:
+            after_d = sorted([e for e in d_partners.get(d, ()) if d_rank[e] > d_rank[d]], key=d_rank.__getitem__)
+            later = list(map(heads, after_d))
+            dk, row = d_keys(d), []
+            for q in q_firsts if lone and not later else q_order:
+                bucket = (dk, y_keys(q))
+                if bucket not in colours:
+                    double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
+                    key = colour_fn(s.element(double))
+                    colours[bucket] = colour_encode(key) if isinstance(key, Colour) else repr(key)
+                row.append((*q_rows[q], colours[bucket]))
+            own = heads(d)
+            for t in ts:
+                head = own[t]
+                # The heads (d text, t text) of the partners in a later t mask or d part.
+                far = [hs[t] for hs in later] if use_h else own[t + 1:] + [h for hs in later for h in hs]
+                for q_text, after, near, key in row:
+                    a = head + q_text
+                    for b in after:
+                        yield a, head + b, key
+                    for h in far:
+                        for b in near:
+                            yield a, h + b, key
 
-    violations.sort()
+    n = n_d * n_t * n_q
     return TripleReport(
         size=n,
         pairs=n * (n - 1) // 2,
         n_buckets=len(by_d) * len(by_q),
-        candidate_pairs=(len(ts) ** 2 * d_square * q_square - n) // 2,
-        violations=tuple(violations),
+        candidate_pairs=(n_t**2 * d_square * q_square - n) // 2,
+        part_pairs=(d_square - n_d + q_square - n_q) // 2,
+        violations=Violations(count, records),
     )
 
 

@@ -275,10 +275,17 @@ class TestVerify:
         assert json.loads(result.stdout)["triple_report"]["distinct"] == 6
 
     def test_summary_names_evaluated_and_nominal_pairs(self, capsys):
+        """The line names the pairs of parts the sweep tested and the pairs of
+        elements they cover; on main-sweep 6 pairs of q parts, no d pair."""
         assert main(["verify"]) == EXIT_OK
         err = capsys.readouterr().err
-        assert "evaluated 270 candidate pairs" in err
+        assert "tested 0 pairs of parts within their groups, covering 270 candidate pairs" in err
         assert "of 16110 nominal pairs over 180 elements: 0 violations" in err
+        argv = ["verify", "--signature", "prufer=3,5;s=2;r=2", "--prufer-depth", "2", "--q-bound", "2",
+                "--q-den-bound", "2"]
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "tested 6 pairs of parts within their groups, covering 87750 candidate pairs" in err
 
     def test_reports_reproducible(self, tmp_path, capsys):
         args = ["verify", "--signature", "prufer=3;s=1;r=1", "--prufer-depth", "2", "--q-bound", "2",

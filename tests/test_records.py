@@ -166,7 +166,8 @@ def test_post_init_normalises_fields():
     assert AmbientSignature([3, 5]).prufer_factors == (3, 5)
     assert Presentation(1, [[2]]).relations == ((2,),)
     assert CanonicalDecomposition(0, [(5, 1), (3, 2)]).primary_factors == ((3, 2), (5, 1))
-    assert HALVES.coset_texts((HALVES.M // 3, 0), (-HALVES.L // 2,), [0b10]) == {0b10: A.canonical_text()}
+    code = ((HALVES.M // 3, 0), 0b10, (-HALVES.L // 2,))
+    assert ";".join(map(HALVES.part_text, range(3), code)) == A.canonical_text()
 
 
 @record

@@ -67,19 +67,19 @@ CASES = {
 }
 
 DIGESTS = {
-    "verify-demo-default": "8659c3cf74d72f44b8a1cdbcc91c81518038b000a27b40b9c9e0b24f2bb07b3d",
-    "verify-depth-two": "460f28ea78acdbd5b0a7d69c6ffa2861d8233cdaa16ae511ae7f58bb2c30eb8a",
-    "verify-main-sweep": "fc4dfeffebccc589a010b1dd0578178ffce09c64664e7a6e541a2a5e2469f280",
-    "verify-t-block": "3c7e877b6e773191785e4d2b1e24cd157181ff6a5a2681c430341354ee93f550",
-    "verify-d-layer": "b2e7eaf03bf8788860dc12de83951d67ea27b218e7cf59d833ebba6cfa2bd4d7",
-    "verify-y-layer": "97724f904b5a5bb4784f1e47fd9544583c949f1ec6b7cc722d2b8267316f0dfc",
-    "verify-odd-square": "248532e344d91efe8b398f48760156f5169084464a4931dc454494425e566493",
-    "verify-integer-free": "5623411c6289f583a04d1f3189365079696f3b3cba35cd60332191a17631ca02",
-    "verify-d-layer-drop-d": "7a4d61db97ccb922afb767add2a8663ffc6b4577b6704d6b57455ff17516459d",
-    "verify-y-layer-drop-y": "bc40ef40676aa209472d4baa2a8c8169b4fdb9880754efeda1254ff4be6cd3c3",
-    "verify-t-block-drop-halvable": "e56d120f42caca497ec13228b6f1d12295c72efc030845618ca55e10af152d8b",
-    "verify-depth-two-drop-halvable": "bbf0805064a7833e1626b1a1ad97bf951c3914b2bb80956772917b34ec514ecd",
-    "verify-demo-default-drop-halvable": "180856fc3406855e452728db63727d6af80a5cbf7ad9657754a97e2c975ce40d",
+    "verify-demo-default": "a1b7d95ccd1600591b70afe78308eb85c29f55c638e1cc01548b5e0ba9adfefa",
+    "verify-depth-two": "e644808419a7fa69977a60e165c7a163683fa803803821d4f4dfdcf150d43c43",
+    "verify-main-sweep": "598934b3d2a414bc6dc87554a3f39d29a3a415e43a3ddd0800b2ff78cecbb1fb",
+    "verify-t-block": "ce407b171888e8a77a83d4c2aa41ce0225db61f0505c5002f3597da7d988a451",
+    "verify-d-layer": "955e0b29b497db58cffaa0ace4427f02c205d8834eedaec5fbb38ab2c4e78e73",
+    "verify-y-layer": "b9e68f2bb6f147830f158027b64ce03deb7f0a871d5a535d4935750fd3956a67",
+    "verify-odd-square": "adfe2b279273c87a042211b3a384bdbfd6d5a3c37c720380236438169db13bd5",
+    "verify-integer-free": "5334816526c997930100920d19df23f643c1986927e661e51613b3bf66f683a5",
+    "verify-d-layer-drop-d": "01ea3a9f637e8ab4490f9fa4e6f349a047bf48803ddb8b22b9b1a1c0025109c5",
+    "verify-y-layer-drop-y": "ab7ddaef5ba85f2844af65ef0b9f8c397b01b473246a779cb70cb28c170310e2",
+    "verify-t-block-drop-halvable": "852cdb5a3b9fde1877f8c17d5c1d5fb122939875be68a26a46fb06817202c2be",
+    "verify-depth-two-drop-halvable": "2120b716a52c6ce7b6f88955a878d448ebe33ba659244ba1d9756e782651089d",
+    "verify-demo-default-drop-halvable": "a1904d7894e8e885d3f5cebb5999ea5f02b7bd0b282d9387390e758c52726e85",
     "search-4,4-min": "7accd8b37817c56ad665747b631e95140cb829b7232a73affaedaed2795e1490",
     "search-16-min": "4f3b05d211d6af505a2dc70e38552d7e51bde0860f08fb70b566d413d41ac543",
     "search-27-min": "debc5675979f2c731c48862806389b3ec3ee2210604bb69a3b0429c6b05599c4",
@@ -98,12 +98,12 @@ DIGESTS = {
     "embed-z2_z6": "b33e97f1a39cdfec96f01942ebb140f998dd948b8169fd0b02fbea8802d4466d",
     "embed-z4": "437941c0ac3c92b794af02938cb74816e286acaded77c15cc9a12ca7102f393e",
     "embed-z3_z5": "6754167fa2f0a8d6af25e95d57acbf434a6f615979869c267ac2e670a358f88e",
-    "verify-z2_z6": "4d7b811f0806c4805d9ccef8c7f8e8d83d11c8b42487dda4e6a606b7b4883433",
+    "verify-z2_z6": "112567fa0d030d516e4c8ae67d848c3155d04e3186e623e900b4114ba9f50788",
     "verify-z4": "8b1e758aec08e24ffa4aea3584d66aad50692c19fbd380282ad1301e5f534b83",
-    "verify-z3_z5": "5fd5e954fb136ae33d401038fa1d94c721fcdb26a9579206eb4d78e32f2b02ee",
+    "verify-z3_z5": "75841a0bb6b89018c8a69e772449ba6eaf1413dc84ee777a4c6b28349dbd48e7",
     "analyze-z2_z": "62a3d332447897b3eb89c97a181e9ca1ded62c3af6ef6221e132798bdf6f7221",
     "embed-z2_z": "9ffb150a7143d73b3036c1fa91ef3e310073551e07cce11599df230d2793cdab",
-    "verify-z2_z": "bbebebf23c25fef5ae92ee5971368a2b63c4a38cbd8fc16cc7d74a059f950a99",
+    "verify-z2_z": "618a5bdb3aa150bfb368b7bf8f36cb327bf213540f8bbe0e0111ffccfc3235f5",
 }
 
 

@@ -8,7 +8,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 import pytest
@@ -268,6 +268,9 @@ class TestBruteForceOracle:
                 continue
             report = find_mono_triples(sample, fn)
             violations, n_buckets, candidates = brute_force_sweep(sample, fn)
+            records = list(report.violations)
+            assert len(records) == len(report.violations) == len(violations), (name, fn_name)
+            assert records == sorted(records), (name, fn_name)  # streamed in order, never sorted
             assert report.violations == violations, (name, fn_name)
             assert report.n_buckets == n_buckets, (name, fn_name)
             assert report.candidate_pairs == candidates, (name, fn_name)
@@ -275,15 +278,16 @@ class TestBruteForceOracle:
 
     def test_depth_two_drop_d_is_pinned(self):
         """depth-two under drop-d, which the brute force cannot finish, pinned
-        by its counts and the SHA-256 of its sorted violation records, one
-        tab-joined record a line, as the sweep gave them before the list path
-        was deleted, with each colour key's profiles written as plain tuples."""
+        by its counts and the SHA-256 of its violation records as streamed, one
+        tab-joined record a line.  The digest is that of the sorted records as
+        the sweep gave them before the list path was deleted, with each colour
+        key's profiles written as plain tuples, so the stream is in order."""
         sample = enumerate_sample(SHIPPED_SAMPLES["depth-two"])
         report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"])
         counts = (report.size, report.pairs, report.n_buckets, report.candidate_pairs)
         assert counts == (6_300, 19_841_850, 7, 2_831_850)
         assert len(report.violations) == 705_600 == predicted_violations(sample, "drop-d") == comb(225, 2) * 4 * 7
-        digest = hashlib.sha256("".join("\t".join(v) + "\n" for v in sorted(report.violations)).encode())
+        digest = hashlib.sha256("".join("\t".join(v) + "\n" for v in report.violations).encode())
         assert digest.hexdigest() == "84fb609532067e18e0170dfdd20ddbb2b998dd370e92bee3a4e56b051d46b3ac"
 
 
@@ -351,22 +355,37 @@ def predicted_violations(sample, fn_name):
     }[fn_name]
 
 
-# Closed-form cases predicted above this many violations are not swept: main-sweep
-# under drop-d, drop-y and constant, and depth-two under drop-d and constant.
-_CLOSED_FORM_LIMIT = 300_000
 _NAMED_WINDOWS = {**SHIPPED_SAMPLES, **ORACLE_SAMPLES}
+
+
+class TestTextOrder:
+    """The order the violation stream rests on: element texts sort as the
+    tuples (d part text, t mask, q part text) do, since a d or q part text ends
+    in its only "}" or ")" and every t text has the same length."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=small_windows())
+    @example(spec=SampleSpec(AmbientSignature((3, 5), 0, 1), prufer_depth=2, q_numerator_bound=2))  # s = 0
+    @example(spec=SampleSpec(AmbientSignature((3,), 2, 0), prufer_depth=3))  # r = 0, two-digit numerators
+    @example(spec=SampleSpec(AmbientSignature((), 1, 2, free_mode=INTEGER), q_numerator_bound=11))
+    @example(spec=SampleSpec(AmbientSignature((5,), 1, 2), q_numerator_bound=3, q_denominator_bound=3))
+    def test_text_order_is_part_order(self, spec):
+        sample = enumerate_sample(spec)
+        texts = {code: listed_element(sample, code).canonical_text() for code in codes(sample)}
+        by_parts = sorted(texts, key=lambda c: (sample.part_text(0, c[0]), c[1], sample.part_text(2, c[2])))
+        assert [texts[code] for code in by_parts] == sorted(texts.values())
 
 
 class TestClosedFormCounts:
     """Each colouring's violation count is the closed form that the proof's
-    lemmas predict, on windows the brute force cannot finish too."""
+    lemmas predict, on windows the brute force cannot finish too; the sweep
+    counts without making a record, so every case is checked, up to
+    main-sweep's 972,382,950 pairs under the constant colouring."""
 
     @staticmethod
     def assert_counts_predicted(sample):
         for fn_name, fn in ORACLE_COLOURINGS.items():
-            predicted = predicted_violations(sample, fn_name)
-            if predicted <= _CLOSED_FORM_LIMIT:
-                assert len(find_mono_triples(sample, fn).violations) == predicted, fn_name
+            assert len(find_mono_triples(sample, fn).violations) == predicted_violations(sample, fn_name), fn_name
 
     @pytest.mark.parametrize("name", sorted(_NAMED_WINDOWS))
     def test_named_windows(self, name):
@@ -497,19 +516,39 @@ class TestCodedSample:
         assert coset.n_elements == 661_500 and coset.n_cosets == coset.n_halvable == 165_375
 
     def test_violation_sweep_holds_one_bucket_of_texts(self):
-        """Under drop-halvable, main-sweep's 66,150 violation records are the
-        report itself; the sweep allocates little beyond them, since element
-        texts are written per bucket (8.2 MB more when they were cached
-        across the whole window)."""
+        """Under drop-halvable, main-sweep's 66,150 violation records are
+        counted, then made one at a time as they are read: sweeping and reading
+        them all holds about 2.2 MB at peak, nearly all of it the colour texts
+        of the 9,675 buckets (9.2 MB more when the records were kept as sorted
+        tuples)."""
         sample = enumerate_sample(SHIPPED_SAMPLES["main-sweep"])
         tracemalloc.start()
         try:
             report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["halvable"])
-            retained, peak = tracemalloc.get_traced_memory()
+            streamed = sum(1 for _ in report.violations)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(report.violations) == 66_150
-        assert peak - retained < 2_000_000
+        assert streamed == len(report.violations) == 66_150
+        assert peak < 3_000_000
+
+    def test_records_stream_in_bounded_memory(self):
+        """main-sweep under drop-y has 1,058,400 violations; counting them and
+        reading the first 1,000 holds well under 5 MB (85 MB when every record
+        was built and sorted first) and takes well under a second."""
+        sample = enumerate_sample(SHIPPED_SAMPLES["main-sweep"])
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["y"])
+            first = list(islice(report.violations, 1_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert len(report.violations) == 1_058_400 and len(first) == 1_000
+        assert first == sorted(first) and first[0][0] < first[0][1]
+        assert peak < 5_000_000
 
     def test_integer_mode_codes_keep_parity(self):
         # the denominator bound is ignored in integer mode; were it folded
@@ -556,18 +595,12 @@ class TestCodedSample:
 
     @staticmethod
     def assert_texts_match(sample, drawn):
-        """``coset_texts`` writes the canonical text of the listed element of
-        each drawn code, alone and with the other drawn codes of its coset, and
-        ``element`` decodes that element."""
-        cosets: dict = {}
+        """The part texts of each drawn code join to the canonical text of the
+        listed element, and ``element`` decodes that element."""
         for code in drawn:
-            d, t, q = code
             listed = listed_element(sample, code)
             assert sample.element(code) == listed
-            assert sample.coset_texts(d, q, [t]) == {t: listed.canonical_text()}
-            cosets.setdefault((d, q), {})[t] = listed.canonical_text()
-        for (d, q), texts in cosets.items():
-            assert sample.coset_texts(d, q, texts) == texts
+            assert ";".join(map(sample.part_text, range(3), code)) == listed.canonical_text()
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_SAMPLES))
     def test_text_matches_canonical_text(self, name):
@@ -608,19 +641,20 @@ class TestCodedSample:
         for sample, (d, t, q), message in invalid:
             with pytest.raises(ValueError) as from_element:
                 sample.element((d, t, q))
-            with pytest.raises(ValueError) as from_coset_texts:
-                sample.coset_texts(d, q, [t])
-            assert str(from_coset_texts.value) == str(from_element.value) == message
-            assert type(from_coset_texts.value) is type(from_element.value)
+            with pytest.raises(ValueError) as from_part_text:
+                for k, part in enumerate((d, t, q)):
+                    sample.part_text(k, part)
+            assert str(from_part_text.value) == str(from_element.value) == message
+            assert type(from_part_text.value) is type(from_element.value)
 
     @pytest.mark.parametrize("fn", [find_mono_triples, check_coset_uniqueness])
     def test_report_text_comes_from_sample_text(self, fn):
-        """Element text in a report is joined by Sample.coset_texts from
-        per-part texts, never written element by element with canonical_text;
+        """Element text in a report is joined from the per-part texts of
+        Sample.part_text, never written element by element with canonical_text;
         the census of a window writes no element text at all."""
         names = {
             getattr(node, "attr", getattr(node, "id", None))
             for node in ast.walk(ast.parse(inspect.getsource(fn)))
         }
         assert "canonical_text" not in names
-        assert ("coset_texts" in names) == (fn is find_mono_triples)
+        assert ("part_text" in names) == (fn is find_mono_triples)
