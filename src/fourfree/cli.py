@@ -49,7 +49,7 @@ import re
 import stat
 import sys
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 from .arith import (
@@ -218,32 +218,43 @@ def parse_signature_text(text: str, free_mode: str = RATIONAL) -> AmbientSignatu
 # passes every value up a chain of Python generators; _write_json makes the
 # same bytes by plain recursion.  Reports are fresh describe() trees with str
 # keys and no cycles, so keys are not coerced and cycles are not checked.
-_BATCH = 4096  # pieces per write
+_BATCH = 4096  # lines per write
 
 
 def _write_json(value, write) -> None:
     """Write ``json.dumps(value, indent=2) + "\\n"`` through ``write``, where
-    every list, tuple or iterator is written as a JSON array.
+    every list or tuple is written as a JSON array, and a value with ``rows()``
+    (a :class:`~fourfree.verifier.Violations` view) as the array of its
+    ``{"a", "b", "colour"}`` records, made a row at a time: the records of a
+    row differ only in b, so its text is one join over the b texts.
 
-    An iterator's items are made only as the writer reaches them, so a report
-    block can hand over a generator of records that are never all held at
-    once.  The text is made of pieces (a separator, the indent and a key; a
-    scalar; a closing bracket).  Before each item at any depth, once
-    ``_BATCH`` pieces are made, ``write`` gets them joined; it gets the rest
-    at the end.  An int past Python's int->str digit limit raises
-    ValueError, as in json.
+    The text is made of pieces (a separator, the indent and a key; a scalar;
+    a closing bracket; a row).  A plain piece counts as one line, as it holds
+    at most one line break, and a row as its five a record.  Before a piece
+    that would take the text made past ``_BATCH`` lines, ``write`` gets that
+    text joined, so no write holds more than ``_BATCH`` lines unless one row
+    alone does; it gets the rest at the end.  An int past Python's int->str
+    digit limit raises ValueError, as in json.
     """
     pieces = []
-    append = pieces.append
+    lines = 0
     quote = encode_basestring_ascii
 
-    def put(value, indent):
-        if len(pieces) >= _BATCH:
+    def append(piece, n=1):
+        nonlocal lines
+        if lines + n > _BATCH and pieces:
             write("".join(pieces))
             pieces.clear()
+            lines = 0
+        pieces.append(piece)
+        lines += n
+
+    def put(value, indent):
         if isinstance(value, str):
             append(quote(value))
-        elif isinstance(value, (dict, list, tuple, Iterator)):
+        elif isinstance(value, int) and not isinstance(value, bool):
+            append(int.__repr__(value))
+        elif isinstance(value, (dict, list, tuple)) or hasattr(value, "rows"):
             inner = indent + "  "
             comma = "," + inner
             if isinstance(value, dict):
@@ -252,15 +263,20 @@ def _write_json(value, write) -> None:
                     append(sep + quote(key) + ": ")
                     sep = comma
                     put(item, inner)
-            else:
+            elif isinstance(value, (list, tuple)):
                 sep, close = "[" + inner, "]"
                 for item in value:
                     append(sep)
                     sep = comma
                     put(item, inner)
+            else:
+                sep, close, field = "[" + inner, "]", inner + "  "
+                for a, colour_text, bs in value.rows():
+                    left = f'{{{field}"a": {quote(a)},{field}"b": '
+                    right = f',{field}"colour": {quote(colour_text)}{inner}}}'
+                    append(sep + left + (right + comma + left).join(map(quote, bs)) + right, 5 * len(bs))
+                    sep = comma
             append(indent + close if sep is comma else sep[0] + close)  # {} or [] when empty
-        elif isinstance(value, int) and not isinstance(value, bool):
-            append(int.__repr__(value))
         else:  # None, a bool or a float
             append(json.dumps(value))
 
@@ -273,13 +289,14 @@ def _emit(report: dict, output: str | None) -> None:
     """Write ``report`` as indent-2 JSON to ``output``, or to stdout when it is
     empty, whole or not at all, through :func:`_write_json`.
 
-    A regular file (a symlink's target) gets the writer's batches under a
-    temporary name in its directory and is renamed into place with the old
-    file's mode; the directory must be writable.  Stdout, or a device or pipe
-    such as /dev/null, gets the batches one after another once all of them
-    are made, with no copy of the whole document.  A report that cannot be
-    serialised (an int past Python's int->str digit limit) is an I/O failure
-    like an unwritable path.
+    A regular file (a symlink's target) gets the writer's batches, each at
+    most ``_BATCH`` lines or one violation row, under a temporary name in its
+    directory and is renamed into place with the old file's mode; the
+    directory must be writable.  Stdout, or a device or pipe such as
+    /dev/null, gets the batches one after another once all of them are made,
+    with no copy of the whole document.  A report that cannot be serialised
+    (an int past Python's int->str digit limit) is an I/O failure like an
+    unwritable path.
     """
     try:
         target = os.path.realpath(output) if output else None  # a symlink is written through

@@ -30,9 +30,9 @@ of the order-2 block is a hit only where both of its part pairs match (see
 :func:`find_mono_triples`).  A window and its violations are counted from its
 parts, so a sweep costs time in its distinct d and q parts and the pairs
 within their groups, not in its |D| |Q| cosets, and holds no violation record.
-The records are made only when they are read, from the partner maps, in
-canonical text order without a sort: element text order is the order of
-(d part text, t mask, q part text).  An
+The records are made only when they are read, a row of one a's partners at a
+time, from the partner maps, in canonical text order without a sort: element
+text order is the order of (d part text, t mask, q part text).  An
 :class:`~fourfree.ambient.AmbientElement` is built only for the double whose
 colour names a violating bucket, and only that colour text calls the
 colouring, which declares the layers the sweep compares with
@@ -308,22 +308,30 @@ class Violations:
     """The violation records of a sweep: ``(a, b, colour)`` with a < b, in
     canonical text order.
 
-    ``len()`` is the count, fixed when the sweep ends.  Iterating makes each
-    record only when it is reached, and each iteration makes them afresh, so
-    the records are never all held.  A view equals a view or a tuple with the
-    same records, and hashes as that tuple.
+    ``len()`` is the count, fixed when the sweep ends.  :meth:`rows` makes the
+    records a row at a time, a row being the records of one ``a``, which all
+    have the colour of a's bucket; each call makes them afresh, so the records
+    are never all held.  Iterating yields the records of the rows one by one.
+    A view equals a view or a tuple with the same records, and hashes as that
+    tuple.
     """
 
-    __slots__ = ("_count", "_records")
+    __slots__ = ("_count", "_rows")
 
-    def __init__(self, count: int, records: abc.Callable[[], abc.Iterator[tuple[str, str, str]]]):
-        self._count, self._records = count, records
+    def __init__(self, count: int, rows: abc.Callable[[], abc.Iterator[tuple[str, str, list[str]]]]):
+        self._count, self._rows = count, rows
 
     def __len__(self) -> int:
         return self._count
 
+    def rows(self) -> abc.Iterator[tuple[str, str, list[str]]]:
+        """``(a, colour, bs)`` per row, in text order of ``a``: ``bs`` is the
+        non-empty list of the texts of the b that make a violation with ``a``,
+        in text order."""
+        return self._rows() if self._count else iter(())
+
     def __iter__(self) -> abc.Iterator[tuple[str, str, str]]:
-        return self._records() if self._count else iter(())
+        return ((a, b, c) for a, c, bs in self.rows() for b in bs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Violations, tuple)):
@@ -360,9 +368,10 @@ class TripleReport:
         return not self.violations
 
     def describe(self) -> dict:
-        """The report block.  Its ``"violations"`` is a generator that makes
-        each ``{"a", "b", "colour"}`` record only when it is reached, so the
-        report writer holds one record at a time, not all of them."""
+        """The report block.  Its ``"violations"`` is the :class:`Violations`
+        view itself: the report writer makes its rows only as it reaches them
+        and writes each record as ``{"a", "b", "colour"}``, so it holds one
+        row at a time, not every record."""
         return {
             "size": self.size,
             "distinct": self.size,  # equal on a window; leaves with report format v2
@@ -370,7 +379,7 @@ class TripleReport:
             "n_buckets": self.n_buckets,
             "candidate_pairs": self.candidate_pairs,
             "n_violations": len(self.violations),
-            "violations": ({"a": a, "b": b, "colour": c} for a, b, c in self.violations),
+            "violations": self.violations,
         }
 
 
@@ -400,17 +409,20 @@ def find_mono_triples(
         |D| |Q| C(T, 2)  (h unread)  +  ((sum |D(d)|)(sum |Q(q)|) - |D| |Q|) / 2
                                           coset pairs, times T or T^2.
 
-    The records are made only when the report's ``violations`` is iterated,
-    already in canonical text order, with no sort: a d or q part text ends in
-    its only "}" or ")", so neither of two differing ones is a prefix of the
-    other, and every t text has the same length.  Element text order is thus
-    the order of (d text, t mask, q text).  The stream walks the elements in
-    that order, and the partners after an element (d, t, q) are the products
-    (d, t, Q(q) after q), then with h unread (d, t' > t, Q(q)), then
-    (D(d) after d, t or every t', Q(q)), each of part lists in text order.
-    Texts are joined from ``Sample.part_text``, and each bucket's colour text
-    is made when the stream first reaches it, so a window without violations
-    ranks no parts and writes no text.  Memory follows the distinct parts.
+    The records are made only when the report's ``violations`` is read, a row
+    at a time (see :meth:`Violations.rows`), already in canonical text order,
+    with no sort: a d or q part text ends in its only "}" or ")", so neither
+    of two differing ones is a prefix of the other, and every t text has the
+    same length.  Element text order is thus the order of (d text, t mask,
+    q text).  The stream walks the elements a in that order, and the partners
+    after an element (d, t, q) are the products (d, t, Q(q) after q), then with
+    h unread (d, t' > t, Q(q)), then (D(d) after d, t or every t', Q(q)), each
+    of part lists in text order.  All of them share a's bucket, so they make
+    one row, whose texts are joined in one list; an a with no later partner
+    makes none.  Texts are joined from ``Sample.part_text``, and each bucket's
+    colour text is made when the stream first reaches it, so a window without
+    violations ranks no parts and writes no text.  Memory follows the distinct
+    parts and the longest row.
     ``sample`` must be a :class:`Sample` from :func:`enumerate_sample`;
     anything else raises ``TypeError``.
     """
@@ -446,7 +458,7 @@ def find_mono_triples(
     coset_pairs = (d_near * q_near - n_d * n_q) // 2
     count = coset_pairs * n_t if use_h else coset_pairs * n_t**2 + n_d * n_q * math.comb(n_t, 2)
 
-    def records():
+    def rows():
         text = s.part_text
         d_order, q_order = sorted(s.d_codes, key=partial(text, 0)), sorted(s.q_codes, key=partial(text, 2))
         d_rank, q_rank = ({part: i for i, part in enumerate(order)} for order in (d_order, q_order))
@@ -481,12 +493,9 @@ def find_mono_triples(
                 # The heads (d text, t text) of the partners in a later t mask or d part.
                 far = [hs[t] for hs in later] if use_h else own[t + 1:] + [h for hs in later for h in hs]
                 for q_text, after, near, key in row:
-                    a = head + q_text
-                    for b in after:
-                        yield a, head + b, key
-                    for h in far:
-                        for b in near:
-                            yield a, h + b, key
+                    bs = [head + b for b in after] + [h + b for h in far for b in near]
+                    if bs:
+                        yield head + q_text, key, bs
 
     n = n_d * n_t * n_q
     return TripleReport(
@@ -495,7 +504,7 @@ def find_mono_triples(
         n_buckets=len(by_d) * len(by_q),
         candidate_pairs=(n_t**2 * d_square * q_square - n) // 2,
         part_pairs=(d_square - n_d + q_square - n_q) // 2,
-        violations=Violations(count, records),
+        violations=Violations(count, rows),
     )
 
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections.abc import Iterator
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +29,8 @@ from fourfree.cli import (
 )
 from fourfree.colouring import DROPPED_LAYER_COLOURINGS
 from fourfree.presentation import Presentation
-from fourfree.verifier import SampleSpec, enumerate_sample, find_mono_triples
+from fourfree.verifier import SHIPPED_SAMPLES, SampleSpec, Violations, enumerate_sample, find_mono_triples
+from test_verifier import ORACLE_COLOURINGS, ORACLE_SAMPLES, ORACLE_SKIP
 
 
 def write(path, text):
@@ -414,37 +414,21 @@ _scalars = (
 )
 
 
-class _Lazy(list):
-    """An array the writer gets as an iterator; json.dumps reads it as a list."""
-
-
-def _lazy(tree):
-    """``tree`` with each :class:`_Lazy` array an iterator that makes its items as they are reached."""
-    if isinstance(tree, _Lazy):
-        return (_lazy(item) for item in tree)
-    if isinstance(tree, dict):
-        return {key: _lazy(item) for key, item in tree.items()}
-    if isinstance(tree, (list, tuple)):
-        return type(tree)(map(_lazy, tree))
-    return tree
-
-
 _trees = st.recursive(
     _scalars,
-    lambda children: (st.lists(children) | st.lists(children).map(tuple) | st.lists(children).map(_Lazy)
-                      | st.dictionaries(_texts, children)),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(_texts, children),
     max_leaves=30,
 )
 
 
 @given(tree=_trees, batch=st.integers(1, 8))
 @example(tree={"": [], "a": {}, "b": [[], {}, (), [[]], {"c": {}}]}, batch=4096)
-@example(tree={"empty": _Lazy(), "nested": _Lazy([_Lazy(), (_Lazy([1]),), {"c": _Lazy()}])}, batch=1)
+@example(tree={"empty": [], "nested": [[], ([1],), {"c": []}]}, batch=1)
 def test_writer_writes_the_bytes_of_json_dumps(tree, batch):
-    """Lists, tuples and iterators are all written as the arrays json.dumps writes for lists."""
+    """Lists and tuples are both written as the arrays json.dumps writes for lists."""
     writes = []
     with mock.patch.object(cli, "_BATCH", batch):
-        cli._write_json(_lazy(tree), writes.append)
+        cli._write_json(tree, writes.append)
     assert "".join(writes) == json.dumps(tree, indent=2) + "\n"
 
 
@@ -461,17 +445,16 @@ def _report(argv):
 ])
 def test_writer_streams_in_batches(value):
     """A long report, or one long flat list, reaches ``write`` in several
-    batches, none much more than ``_BATCH`` pieces; every piece holds at most
-    one newline, so no write holds more than ``_BATCH`` of them."""
+    batches; a plain piece counts as one line and a violation row as its
+    lines, so no write holds more than ``_BATCH`` lines."""
     value = value()
     expected = value
     if isinstance(value, dict):
         # the report's violation records are made as they are written, so
         # json.dumps gets the same records as a list
         triple = value["triple_report"]
-        assert isinstance(triple["violations"], Iterator)
-        records = list(triple["violations"])
-        triple["violations"] = iter(records)
+        assert isinstance(triple["violations"], Violations)
+        records = [{"a": a, "b": b, "colour": c} for a, b, c in triple["violations"]]
         expected = {**value, "triple_report": {**triple, "violations": records}}
     writes = []
     cli._write_json(value, writes.append)
@@ -496,6 +479,64 @@ def test_violation_records_are_made_as_they_are_written():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def assert_rows_write_as_records(triple, batch=cli._BATCH):
+    """The view's rows are the records, one non-empty row per a in text
+    order, and the report with the view writes the bytes json.dumps writes
+    with the records listed as dicts, in writes of at most ``batch`` lines or
+    one row."""
+    rows = list(triple.violations.rows())
+    assert all(bs for _, _, bs in rows)
+    assert [a for a, _, _ in rows] == sorted({a for a, _, _ in rows})
+    assert [(a, b, c) for a, c, bs in rows for b in bs] == list(triple.violations)
+    report = {"triple_report": triple.describe(), "after": [1]}
+    records = [{"a": a, "b": b, "colour": c} for a, b, c in triple.violations]
+    expected = {**report, "triple_report": {**report["triple_report"], "violations": records}}
+    writes = []
+    with mock.patch.object(cli, "_BATCH", batch):
+        cli._write_json(report, writes.append)
+    assert "".join(writes) == json.dumps(expected, indent=2) + "\n"
+    longest = max((len(bs) for _, _, bs in rows), default=0)
+    assert max(w.count("\n") for w in writes) <= max(batch, 5 * longest)
+    return rows, writes
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SAMPLES))
+def test_violation_rows_write_the_records_of_every_oracle_window(name):
+    sample = enumerate_sample(ORACLE_SAMPLES[name])
+    for fn_name, fn in ORACLE_COLOURINGS.items():
+        if (name, fn_name) not in ORACLE_SKIP:
+            assert_rows_write_as_records(find_mono_triples(sample, fn))
+
+
+def test_violation_rows_without_violations_write_an_empty_array():
+    triple = find_mono_triples(enumerate_sample(SHIPPED_SAMPLES["demo-default"]))
+    rows, writes = assert_rows_write_as_records(triple)
+    assert rows == [] and '"violations": []' in "".join(writes)
+
+
+def test_violation_rows_with_one_record():
+    spec = SampleSpec(parse_signature_text("s=1;r=0"))
+    triple = find_mono_triples(enumerate_sample(spec), DROPPED_LAYER_COLOURINGS["halvable"])
+    rows, _ = assert_rows_write_as_records(triple)
+    assert rows == [("d:{};t:0;q:()", "('d+y', (), ())", ["d:{};t:1;q:()"])]
+
+
+def test_violation_rows_of_many_records_under_drop_y():
+    triple = find_mono_triples(enumerate_sample(SHIPPED_SAMPLES["depth-two"]), DROPPED_LAYER_COLOURINGS["y"])
+    rows, _ = assert_rows_write_as_records(triple)
+    assert len(triple.violations) == 18_900 and max(len(bs) for _, _, bs in rows) == 6
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_violation_rows_in_many_small_writes(batch):
+    """Rows of up to 15 records (75 lines) written with ``_BATCH`` below and
+    above one row: the bytes do not change, and a write holds at most
+    ``batch`` lines or a single row."""
+    triple = find_mono_triples(enumerate_sample(ORACLE_SAMPLES["integer"]), DROPPED_LAYER_COLOURINGS["y"])
+    _, writes = assert_rows_write_as_records(triple, batch)
+    assert len(writes) > 1
 
 
 def test_main_is_the_only_report_writer():
