@@ -11,8 +11,6 @@ import json
 import time
 
 from fourfree import SHIPPED_SAMPLES, check_coset_uniqueness, enumerate_sample, find_mono_triples
-from fourfree.colouring import DROPPED_LAYER_COLOURINGS
-from fourfree.verifier import constant_colour
 
 spec = SHIPPED_SAMPLES["demo-default"]
 sample = enumerate_sample(spec)
@@ -28,13 +26,13 @@ coset = check_coset_uniqueness(sample)
 print(f"  coset check: {coset.n_cosets} cosets, {coset.n_halvable} halvable, ok={coset.ok}")
 
 print("\nself-test: a constant colouring must light up violations:")
-degenerate = find_mono_triples(sample, constant_colour)
+degenerate = find_mono_triples(sample, layers=set())
 print(f"  constant colouring -> {len(degenerate.violations)} violations")
 
 print("\neach layer is load-bearing on its documented sample:")
 for layer, name in [("halvable", "t-block"), ("d", "d-layer"), ("y", "y-layer")]:
     s = enumerate_sample(SHIPPED_SAMPLES[name])
-    dropped = find_mono_triples(s, DROPPED_LAYER_COLOURINGS[layer])
+    dropped = find_mono_triples(s, layers=set("dyh") - {layer[0]})
     full = find_mono_triples(s)
     print(f"  {name:10s} drop {layer:8s}: {len(dropped.violations):3d} violations; "
           f"all layers: {len(full.violations)}")

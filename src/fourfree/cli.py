@@ -69,7 +69,7 @@ from .arith import (
 # them); binding never replaces a name already bound, so such a wrapper stays.
 _LAYER_NAMES = {
     "ambient": ("AmbientElement", "AmbientSignature", "ElementParseError"),
-    "colouring": ("DROPPED_LAYER_COLOURINGS", "colour", "colour_encode"),
+    "colouring": ("colour", "colour_encode"),
     "embedding": ("build_embedding",),
     "presentation": ("Presentation", "canonical_decomposition", "has_order_four", "smith_normal_form"),
     "sumset": ("FiniteGroupSpec", "GroupTooLarge", "all_colourings_forced", "min_colours_avoiding",
@@ -404,7 +404,7 @@ def cmd_colour(args) -> tuple[dict | None, int]:
 def cmd_verify(args) -> tuple[dict, int]:
     # verifier, the largest module, is compiled first, while the heap is freshest:
     # where bytecode is not cached its compile sets the call's peak RSS
-    _load("verifier", "colouring", "ambient")
+    _load("verifier", "ambient")
     config = _config(args)
     report: dict = {"config": config}
 
@@ -437,8 +437,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise CliError(str(exc))
 
-    colour_fn = DROPPED_LAYER_COLOURINGS[args.drop_layer] if args.drop_layer else colour
-    triple, elapsed = _timed(find_mono_triples, elements, colour_fn)
+    # Each --drop-layer name starts with the letter of the layer it drops.
+    layers = frozenset("dyh") - set((args.drop_layer or "")[:1])
+    triple, elapsed = _timed(find_mono_triples, elements, layers)
     coset = check_coset_uniqueness(elements)
     report["triple_report"] = {"sample": spec.describe(), **triple.describe(), "elapsed_s": elapsed}
     report["coset_report"] = coset.describe()

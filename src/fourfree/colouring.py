@@ -16,7 +16,9 @@ Colour text encoding (stable, injective)::
 
 with values as reduced fraction strings; the zero element encodes as
 ``D[]|Y[]|H1``.  A profile is a tuple of Fractions; ``verify --drop-layer``
-writes a dropped-layer key, a plain tuple, as its repr.
+writes a dropped-layer key, a plain tuple, as its repr.  ``LAYER_TEXTS`` holds
+the text of a double's colour under each set of layers the verifier's sweep
+compares, and the colourings of ``DROPPED_LAYER_COLOURINGS`` are its oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "colour_drop_y",
     "colour_drop_halvable",
     "DROPPED_LAYER_COLOURINGS",
-    "reads_layers",
+    "LAYER_TEXTS",
 ]
 
 
@@ -82,26 +84,6 @@ def halve(a: AmbientElement) -> AmbientElement:
     return element(a.signature, d, a.t, [v / 2 for v in a.q])
 
 
-def reads_layers(*layers: str):
-    """Declare the colour layers a colouring reads: any of "d", "y", "h".
-
-    The verifier buckets and compares elements by these layers alone, coded
-    as integers, so a declared colouring must be an injective function of
-    them: two elements get equal colours exactly when they agree on every
-    declared layer (d profile, free-part profile, halvability).
-    """
-    unknown = set(layers) - {"d", "y", "h"}
-    if unknown:
-        raise ValueError(f"unknown colour layers {sorted(unknown)}; known: d, y, h")
-
-    def declare(fn):
-        fn.layers = frozenset(layers)
-        return fn
-
-    return declare
-
-
-@reads_layers("d", "y", "h")
 def colour(a: AmbientElement) -> Colour:
     """The product colouring: d profile, free-part profile, halvability."""
     return Colour(a.d_profile(), a.q_profile(), is_halvable(a))
@@ -119,19 +101,32 @@ def colour_encode(c: Colour) -> str:
 # and dropping any of them admits monochromatic {2a, 2b, a+b} on documented
 # samples.
 
-@reads_layers("y", "h")
 def colour_drop_d(a: AmbientElement):
     return ("y+h", a.q_profile(), is_halvable(a))
 
 
-@reads_layers("d", "h")
 def colour_drop_y(a: AmbientElement):
     return ("d+h", a.d_profile(), is_halvable(a))
 
 
-@reads_layers("d", "y")
 def colour_drop_halvable(a: AmbientElement):
     return ("d+y", a.d_profile(), a.q_profile())
 
 
 DROPPED_LAYER_COLOURINGS = dict(zip(DROPPED_LAYERS, (colour_drop_d, colour_drop_y, colour_drop_halvable)))
+
+# The colour text of a double under each set of layers the sweep compares, from
+# the texts of its d and y profiles, each written by the function beside the
+# template; a double is always halvable.  With every layer it is colour_encode's
+# text, with two the repr of the DROPPED_LAYER_COLOURINGS key, with one the repr
+# of that layer's value, and with none the constant 0.
+LAYER_TEXTS = {
+    frozenset("dyh"): ("D[{d}]|Y[{y}]|H1", _encode_values),
+    frozenset("dy"): ("('d+y', {d}, {y})", repr),
+    frozenset("yh"): ("('y+h', {y}, True)", repr),
+    frozenset("dh"): ("('d+h', {d}, True)", repr),
+    frozenset("d"): ("{d}", repr),
+    frozenset("y"): ("{y}", repr),
+    frozenset("h"): ("True", repr),
+    frozenset(): ("0", repr),
+}

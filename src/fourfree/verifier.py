@@ -4,9 +4,10 @@ A :class:`SampleSpec` describes a finite window onto an infinite ambient
 group: Pruefer coordinates up to a depth, free coordinates in a bounded
 rational (or integer) box, all order-2 bit vectors.  ``find_mono_triples``
 checks every unordered pair a != b of the sample for colour(2a) =
-colour(2b) = colour(a+b); under the three-layer colouring there are no
-violations, while degenerate colourings (constant, single-layer drops) produce
-violations that validate the checker itself.
+colour(2b) = colour(a+b), where a colour compares a set of the three layers:
+d profile, y (free) profile, halvability.  With all three there are no
+violations, while fewer layers (one dropped, or none) produce violations that
+validate the checker itself.
 
 The pair sweep buckets elements by the colour of their double, so only pairs
 that already agree on that colour are tested against colour(a+b).  Sweeps
@@ -32,12 +33,11 @@ parts, so a sweep costs time in its distinct d and q parts and the pairs
 within their groups, not in its |D| |Q| cosets, and holds no violation record.
 The records are made only when they are read, a row of one a's partners at a
 time, from the partner maps, in canonical text order without a sort: element
-text order is the order of (d part text, t mask, q part text).  An
-:class:`~fourfree.ambient.AmbientElement` is built only for the double whose
-colour names a violating bucket, and only that colour text calls the
-colouring, which declares the layers the sweep compares with
-:func:`~fourfree.colouring.reads_layers`; element texts are joined from the
-per-part texts of ``Sample.part_text``, each written once.
+text order is the order of (d part text, t mask, q part text).  The sweep
+builds no element and calls no colouring: a bucket's colour text is joined,
+by the template :data:`~fourfree.colouring.LAYER_TEXTS` gives its layer set,
+from profile texts written once per d key and per y key, and element texts
+from the per-part texts of ``Sample.part_text``, each written once.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from itertools import combinations, product, zip_longest
 
 from .ambient import INTEGER, AmbientElement, AmbientSignature
 from .arith import DEFAULT_SAMPLE_CAP, describe_fields, record, size_text
-from .colouring import Colour, colour, colour_encode, reads_layers
+from .colouring import LAYER_TEXTS
 
 __all__ = [
     "DEFAULT_SAMPLE_CAP",
@@ -61,7 +61,6 @@ __all__ = [
     "enumerate_sample",
     "find_mono_triples",
     "check_coset_uniqueness",
-    "constant_colour",
     "SHIPPED_SAMPLES",
 ]
 
@@ -280,12 +279,6 @@ def _window(sample) -> Sample:
     return sample
 
 
-@reads_layers()
-def constant_colour(a: AmbientElement):
-    """Degenerate one-colour colouring; self-test harness for the sweep."""
-    return 0
-
-
 def _group(items, key) -> dict:
     groups: dict = {}
     for item in items:
@@ -293,15 +286,20 @@ def _group(items, key) -> dict:
     return groups
 
 
-def _partners(groups: dict, match) -> dict:
-    """Each part with a partner: the other parts of its group that ``match(a, b, key)``."""
-    partners: dict = {}
+def _near(groups: dict, match) -> dict:
+    """D(p) for each part p with a partner: p and the other parts of its group
+    that ``match(a, b, key)``.  With no ``match`` every pair of a group are
+    partners, and each of its parts gets the group itself as its list."""
+    near: dict = {}
     for key, group in groups.items():
+        if match is None:
+            near.update(dict.fromkeys(group, group))
+            continue
         for a, b in combinations(group, 2):
             if match(a, b, key):
-                partners.setdefault(a, []).append(b)
-                partners.setdefault(b, []).append(a)
-    return partners
+                near.setdefault(a, [a]).append(b)
+                near.setdefault(b, [b]).append(a)
+    return near
 
 
 class Violations:
@@ -383,21 +381,21 @@ class TripleReport:
         }
 
 
-def find_mono_triples(
-    sample: Sample,
-    colour_fn: abc.Callable[[AmbientElement], object] = colour,
-) -> TripleReport:
+def find_mono_triples(sample: Sample, layers: abc.Set[str] = frozenset("dyh")) -> TripleReport:
     """Check every unordered pair a != b of a window for colour(2a) = colour(2b) = colour(a+b).
 
-    Elements are bucketed by the layers of their double that ``colour_fn``
-    declares (see :func:`~fourfree.colouring.reads_layers`; an undeclared
-    callable raises ``TypeError``): the d parts of ``sample`` are grouped by
-    the d layer of their doubles and its q parts by the y layer, and a bucket
-    is a d group by a q group.  So a window's buckets and candidate pairs are
-    counted from the group sizes.  a+b has the parts da + db and qa + qb, so
-    the pairs of parts of a group whose sum keeps its key are found once per
-    group, as (L_d) and (L_y) each work on one block; with h read in integer
-    mode a q pair must also sum to even free codes.
+    A colour compares the ``layers`` named, a subset of "d" (d profile), "y"
+    (free profile) and "h" (halvability); another name raises ``ValueError``.
+    Elements are bucketed by those layers of their double: the d parts of
+    ``sample`` are grouped by the d layer of their doubles and its q parts by
+    the y layer, and a bucket is a d group by a q group.  So a window's buckets
+    and candidate pairs are counted from the group sizes.  a+b has the parts
+    da + db and qa + qb, so the pairs of parts of a group whose sum keeps its
+    key are found once per group, as (L_d) and (L_y) each work on one block;
+    with h read in integer mode a q pair must also sum to even free codes.  An
+    unread layer keys every part alike, so every pair of its one group are
+    partners, and with y unread and h read in integer mode every pair of a
+    parity class of q parts; such a class is kept whole, and no pair is listed.
 
     Write D(d) for d and its partners, Q(q) likewise.  Two cosets (da, qa)
     and (db, qb) are a hit when db is in D(da) and qb in Q(qa); with h read
@@ -419,21 +417,20 @@ def find_mono_triples(
     h unread (d, t' > t, Q(q)), then (D(d) after d, t or every t', Q(q)), each
     of part lists in text order.  All of them share a's bucket, so they make
     one row, whose texts are joined in one list; an a with no later partner
-    makes none.  Texts are joined from ``Sample.part_text``, and each bucket's
-    colour text is made when the stream first reaches it, so a window without
-    violations ranks no parts and writes no text.  Memory follows the distinct
-    parts and the longest row.
+    makes none.  Texts are joined from ``Sample.part_text``, and a row's colour
+    text from the profile texts of its d key and y key, each written once, by
+    the layer set's template in :data:`~fourfree.colouring.LAYER_TEXTS`.  So a
+    window without violations ranks no parts and writes no text.  Memory
+    follows the distinct parts and the longest row.
     ``sample`` must be a :class:`Sample` from :func:`enumerate_sample`;
     anything else raises ``TypeError``.
     """
-    layers = getattr(colour_fn, "layers", None)
-    if layers is None:
-        raise TypeError(
-            f"colouring {colour_fn!r} does not declare the layers it reads; "
-            "decorate it with fourfree.colouring.reads_layers"
-        )
+    layers = frozenset(layers)
+    if layers not in LAYER_TEXTS:
+        raise ValueError(f"unknown colour layers {sorted(layers - set('dyh'))}; known: d, y, h")
+    template, profile_text = LAYER_TEXTS[layers]
     s = _window(sample)
-    M, ts = s.M, s.t_masks
+    M, L, ts = s.M, s.L, s.t_masks
     n_d, n_t, n_q = len(s.d_codes), len(ts), len(s.q_codes)
     integer = s.signature.free_mode == INTEGER
     use_d, use_y, use_h = "d" in layers, "y" in layers, "h" in layers
@@ -450,43 +447,47 @@ def find_mono_triples(
 
     # (L_d) and (L_y) part by part: two parts of a group are partners when their
     # sum keeps the group's key and, with h read in integer mode, a+b's free
-    # codes are even, as a halvable a+b needs.
+    # codes are even, as a halvable a+b needs: with y unread, when they share
+    # the parity of every free code.
     odd = lambda a, b: use_h and integer and any([(x + y) & 1 for x, y in zip(a, b)])
-    d_partners = _partners(by_d, lambda a, b, key: d_sum(a, b) == key)
-    q_partners = _partners(by_q, lambda a, b, key: y_sum(a, b) == key and not odd(a, b))
-    d_near, q_near = n_d + sum(map(len, d_partners.values())), n_q + sum(map(len, q_partners.values()))
-    coset_pairs = (d_near * q_near - n_d * n_q) // 2
+    d_near = _near(by_d, (lambda a, b, key: d_sum(a, b) == key) if use_d else None)
+    if use_y:
+        q_near = _near(by_q, lambda a, b, key: y_sum(a, b) == key and not odd(a, b))
+    else:
+        q_near = _near(_group(s.q_codes, lambda q: tuple([v & 1 for v in q])) if use_h and integer else by_q, None)
+    # sum |D(d)| and sum |Q(q)|, where a part missing from its map has D(d) = {d}.
+    d_total, q_total = (n + sum(map(len, near.values())) - len(near) for n, near in ((n_d, d_near), (n_q, q_near)))
+    coset_pairs = (d_total * q_total - n_d * n_q) // 2
     count = coset_pairs * n_t if use_h else coset_pairs * n_t**2 + n_d * n_q * math.comb(n_t, 2)
 
     def rows():
         text = s.part_text
         d_order, q_order = sorted(s.d_codes, key=partial(text, 0)), sorted(s.q_codes, key=partial(text, 2))
         d_rank, q_rank = ({part: i for i, part in enumerate(order)} for order in (d_order, q_order))
+        # Each D(p) and Q(p) in text order; a class kept whole is sorted once.
+        for near, rank in ((d_near, d_rank), (q_near, q_rank)):
+            for group in {id(g): g for g in near.values()}.values():
+                group.sort(key=rank.__getitem__)
         heads = cache(lambda d: [f"{text(0, d)};{text(1, t)};" for t in ts])
-        # Each q part's text, the texts of Q(q) in text order, and those after q.
+        profile = cache(lambda key, n: profile_text(tuple([Fraction(v, n) for v in key or ()])))
+        # Each q part's text, the texts of Q(q) after q and of Q(q), and its y profile's text.
         q_rows = {}
         for q in q_order:
-            group = sorted((q, *q_partners.get(q, ())), key=q_rank.__getitem__)
-            texts = [text(2, e) for e in group]
-            i = group.index(q)
-            q_rows[q] = (texts[i], texts[i + 1:], texts)
+            group = q_near.get(q, (q,))
+            texts, i = [text(2, e) for e in group], group.index(q)
+            q_rows[q] = (texts[i], texts[i + 1:], texts, profile(y_keys(q), L))
         # With h read or one t mask a coset alone holds no pair, so an element
         # whose d part has no later partner starts a record only where its q
         # part has a later partner.
         lone = use_h or n_t == 1
         q_firsts = [q for q in q_order if q_rows[q][1]]
-        colours: dict = {}
         for d in d_order:
-            after_d = sorted([e for e in d_partners.get(d, ()) if d_rank[e] > d_rank[d]], key=d_rank.__getitem__)
-            later = list(map(heads, after_d))
-            dk, row = d_keys(d), []
+            group = d_near.get(d, (d,))
+            later = list(map(heads, group[group.index(d) + 1:]))
+            d_text, row = profile(d_keys(d), M), []
             for q in q_firsts if lone and not later else q_order:
-                bucket = (dk, y_keys(q))
-                if bucket not in colours:
-                    double = (tuple([2 * x % M for x in d]), 0, tuple([2 * v for v in q]))
-                    key = colour_fn(s.element(double))
-                    colours[bucket] = colour_encode(key) if isinstance(key, Colour) else repr(key)
-                row.append((*q_rows[q], colours[bucket]))
+                q_text, after, near, y_text = q_rows[q]
+                row.append((q_text, after, near, template.format(d=d_text, y=y_text)))
             own = heads(d)
             for t in ts:
                 head = own[t]
@@ -513,8 +514,9 @@ class CosetReport:
     """Halvable-element census per coset of the order-2 block.
 
     ``offenders`` (cosets with two or more halvable elements, as element
-    texts) is always empty on a window; it stays in reports until ROADMAP
-    item 5 removes the block.
+    texts) is always empty on a window; it stays in reports until the ROADMAP
+    item "delete what the proof and the window-only sweep make redundant"
+    removes the block.
     """
 
     n_elements: int
@@ -543,7 +545,8 @@ def check_coset_uniqueness(sample: Sample) -> CosetReport:
     a code is halvable when t = 0 and, in integer mode, its free codes are
     even; so the census reads only the parts, in O(|D| + |Q|).  ``offenders``
     is always empty on a window, as a coset holds t = 0 once; it stays in
-    reports until ROADMAP item 5 removes the block.  The census checks the
+    reports until the ROADMAP item "delete what the proof and the window-only
+    sweep make redundant" removes the block.  The census checks the
     integer encoding, not lemma (L_h) on the group.
     ``sample`` must be a :class:`Sample` from :func:`enumerate_sample`;
     anything else raises ``TypeError``.

@@ -27,7 +27,6 @@ from fourfree.cli import (
     parse_presentation_text,
     parse_signature_text,
 )
-from fourfree.colouring import DROPPED_LAYER_COLOURINGS
 from fourfree.presentation import Presentation
 from fourfree.verifier import SHIPPED_SAMPLES, SampleSpec, Violations, enumerate_sample, find_mono_triples
 from test_verifier import ORACLE_COLOURINGS, ORACLE_SAMPLES, ORACLE_SKIP
@@ -470,7 +469,7 @@ def test_violation_records_are_made_as_they_are_written():
     record dict was built before the first byte)."""
     spec = SampleSpec(AmbientSignature((3, 5), 2, 1), prufer_depth=2, q_numerator_bound=2,
                       q_denominator_bound=2)
-    triple = find_mono_triples(enumerate_sample(spec), DROPPED_LAYER_COLOURINGS["halvable"])
+    triple = find_mono_triples(enumerate_sample(spec), {"d", "y"})
     assert len(triple.violations) == 9_450
     tracemalloc.start()
     try:
@@ -505,9 +504,9 @@ def assert_rows_write_as_records(triple, batch=cli._BATCH):
 @pytest.mark.parametrize("name", sorted(ORACLE_SAMPLES))
 def test_violation_rows_write_the_records_of_every_oracle_window(name):
     sample = enumerate_sample(ORACLE_SAMPLES[name])
-    for fn_name, fn in ORACLE_COLOURINGS.items():
+    for fn_name, (layers, _) in ORACLE_COLOURINGS.items():
         if (name, fn_name) not in ORACLE_SKIP:
-            assert_rows_write_as_records(find_mono_triples(sample, fn))
+            assert_rows_write_as_records(find_mono_triples(sample, layers))
 
 
 def test_violation_rows_without_violations_write_an_empty_array():
@@ -518,13 +517,13 @@ def test_violation_rows_without_violations_write_an_empty_array():
 
 def test_violation_rows_with_one_record():
     spec = SampleSpec(parse_signature_text("s=1;r=0"))
-    triple = find_mono_triples(enumerate_sample(spec), DROPPED_LAYER_COLOURINGS["halvable"])
+    triple = find_mono_triples(enumerate_sample(spec), {"d", "y"})
     rows, _ = assert_rows_write_as_records(triple)
     assert rows == [("d:{};t:0;q:()", "('d+y', (), ())", ["d:{};t:1;q:()"])]
 
 
 def test_violation_rows_of_many_records_under_drop_y():
-    triple = find_mono_triples(enumerate_sample(SHIPPED_SAMPLES["depth-two"]), DROPPED_LAYER_COLOURINGS["y"])
+    triple = find_mono_triples(enumerate_sample(SHIPPED_SAMPLES["depth-two"]), {"d", "h"})
     rows, _ = assert_rows_write_as_records(triple)
     assert len(triple.violations) == 18_900 and max(len(bs) for _, _, bs in rows) == 6
 
@@ -534,7 +533,7 @@ def test_violation_rows_in_many_small_writes(batch):
     """Rows of up to 15 records (75 lines) written with ``_BATCH`` below and
     above one row: the bytes do not change, and a write holds at most
     ``batch`` lines or a single row."""
-    triple = find_mono_triples(enumerate_sample(ORACLE_SAMPLES["integer"]), DROPPED_LAYER_COLOURINGS["y"])
+    triple = find_mono_triples(enumerate_sample(ORACLE_SAMPLES["integer"]), {"d", "h"})
     _, writes = assert_rows_write_as_records(triple, batch)
     assert len(writes) > 1
 

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from fourfree.ambient import INTEGER, AmbientSignature, element
 from fourfree.colouring import (
     DROPPED_LAYER_COLOURINGS,
+    LAYER_TEXTS,
     Colour,
     colour,
     colour_encode,
     is_halvable,
-    reads_layers,
 )
 from fourfree.verifier import (
     SHIPPED_SAMPLES,
@@ -30,20 +30,17 @@ from fourfree.verifier import (
     SampleCapExceeded,
     SampleSpec,
     check_coset_uniqueness,
-    constant_colour,
     enumerate_sample,
     find_mono_triples,
 )
 
 
-@reads_layers("d")
-def d_only(a):
-    return a.d_profile()
-
-
-@reads_layers("y")
-def y_only(a):
-    return a.q_profile()
+# The colourings that compare one layer alone, as (layer set, oracle) pairs.
+SINGLE_LAYER_COLOURINGS = {
+    "d-only": (frozenset("d"), lambda a: a.d_profile()),
+    "y-only": (frozenset("y"), lambda a: a.q_profile()),
+    "h-only": (frozenset("h"), is_halvable),
+}
 
 
 class TestEnumerateSample:
@@ -115,7 +112,7 @@ class TestEnumerateSample:
 class TestFindMonoTriples:
     def test_constant_colouring_self_test(self):
         sample = enumerate_sample(SHIPPED_SAMPLES["t-block"])
-        report = find_mono_triples(sample, constant_colour)
+        report = find_mono_triples(sample, frozenset())
         assert report.violations
         assert report.pairs == 6
 
@@ -138,7 +135,7 @@ class TestFindMonoTriples:
     ])
     def test_each_layer_is_load_bearing(self, layer, sample_name):
         sample = enumerate_sample(SHIPPED_SAMPLES[sample_name])
-        dropped = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS[layer])
+        dropped = find_mono_triples(sample, ORACLE_COLOURINGS[f"drop-{layer}"][0])
         full = find_mono_triples(sample)
         assert dropped.violations
         assert full.ok
@@ -149,20 +146,20 @@ class TestFindMonoTriples:
         assert report.ok and report.size == 9 * 25 * 4 * 7
 
     def test_single_layer_colourings_also_violate(self):
-        # degenerate colourings made of one layer alone are caught too
+        # degenerate colourings made of one layer alone are caught too, with
+        # the records and colour texts of the brute force
         sample = enumerate_sample(SHIPPED_SAMPLES["demo-default"])
-        assert find_mono_triples(sample, d_only).violations
-        assert find_mono_triples(sample, y_only).violations
-        assert find_mono_triples(sample, colour).ok
-
-    def test_undeclared_colouring_rejected(self):
-        sample = enumerate_sample(SHIPPED_SAMPLES["t-block"])
-        with pytest.raises(TypeError, match="reads_layers"):
-            find_mono_triples(sample, lambda a: a.d_profile())
+        for name, (layers, fn) in SINGLE_LAYER_COLOURINGS.items():
+            report = find_mono_triples(sample, layers)
+            assert report.violations, name
+            assert report.violations == brute_force_sweep(sample, fn)[0], name
+        assert find_mono_triples(sample, "dyh").ok
 
     def test_unknown_layer_rejected(self):
-        with pytest.raises(ValueError, match="unknown colour layers"):
-            reads_layers("x")
+        sample = enumerate_sample(SHIPPED_SAMPLES["t-block"])
+        for layers in ({"x"}, {"d", "y", "halvable"}, "dq"):
+            with pytest.raises(ValueError, match="unknown colour layers"):
+                find_mono_triples(sample, layers)
 
     def test_all_shipped_samples_clean(self):
         for name, spec in SHIPPED_SAMPLES.items():
@@ -173,7 +170,7 @@ class TestFindMonoTriples:
 
     def test_violation_records_are_canonical(self):
         sample = enumerate_sample(SHIPPED_SAMPLES["t-block"])
-        report = find_mono_triples(sample, constant_colour)
+        report = find_mono_triples(sample, frozenset())
         assert report.violations == tuple(sorted(report.violations))
         for a_text, b_text, colour_text in report.violations:
             assert a_text < b_text
@@ -189,15 +186,15 @@ class TestFindMonoTriples:
         rng.shuffle(qs)
         shuffled = Sample(sample.signature, sample.M, sample.L, tuple(ds), tuple(qs))
         assert shuffled != sample and set(shuffled) == set(sample)
-        for fn_name, fn in ORACLE_COLOURINGS.items():
-            assert find_mono_triples(sample, fn) == find_mono_triples(shuffled, fn), fn_name
+        for fn_name, (layers, _) in ORACLE_COLOURINGS.items():
+            assert find_mono_triples(sample, layers) == find_mono_triples(shuffled, layers), fn_name
         assert check_coset_uniqueness(sample) == check_coset_uniqueness(shuffled)
 
     def test_violations_independent_of_input_order(self):
         sample = enumerate_sample(SHIPPED_SAMPLES["d-layer"])
         backward = Sample(sample.signature, sample.M, sample.L, sample.d_codes[::-1], sample.q_codes[::-1])
-        forward = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"])
-        assert forward.violations == find_mono_triples(backward, DROPPED_LAYER_COLOURINGS["d"]).violations
+        forward = find_mono_triples(sample, {"y", "h"})
+        assert forward.violations == find_mono_triples(backward, {"y", "h"}).violations
         assert forward.violations
 
     @pytest.mark.parametrize("fn", [find_mono_triples, check_coset_uniqueness])
@@ -227,16 +224,23 @@ def brute_force_sweep(elements, colour_fn):
             if cid[j] == ci:
                 candidates += 1
                 if colour_fn(a + uniq[j]) == doubled[i]:
-                    c = doubled[i]
-                    text = colour_encode(c) if isinstance(c, Colour) else repr(c)
-                    violations.append((a.canonical_text(), uniq[j].canonical_text(), text))
+                    violations.append((a.canonical_text(), uniq[j].canonical_text(), colour_text(doubled[i])))
     return tuple(sorted(violations)), len(ids), candidates
 
 
+def colour_text(c) -> str:
+    """How a report writes colour ``c``: the colour text of a Colour, else the repr."""
+    return colour_encode(c) if isinstance(c, Colour) else repr(c)
+
+
+# The layer sets the sweep compares, each with the colouring that the brute
+# force runs as its oracle.
 ORACLE_COLOURINGS = {
-    "colour": colour,
-    "constant": constant_colour,
-    **{f"drop-{layer}": fn for layer, fn in DROPPED_LAYER_COLOURINGS.items()},
+    "colour": (frozenset("dyh"), colour),
+    "constant": (frozenset(), lambda a: 0),
+    "drop-d": (frozenset("yh"), DROPPED_LAYER_COLOURINGS["d"]),
+    "drop-y": (frozenset("dh"), DROPPED_LAYER_COLOURINGS["y"]),
+    "drop-halvable": (frozenset("dy"), DROPPED_LAYER_COLOURINGS["halvable"]),
 }
 # depth-two has ~2*10^7 pairs; under drop-d and the constant colouring
 # millions of them are candidates, each an AmbientElement addition, which the
@@ -263,10 +267,10 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_SAMPLES))
     def test_engine_matches_all_pairs(self, name):
         sample = enumerate_sample(ORACLE_SAMPLES[name])
-        for fn_name, fn in ORACLE_COLOURINGS.items():
+        for fn_name, (layers, fn) in ORACLE_COLOURINGS.items():
             if (name, fn_name) in ORACLE_SKIP:
                 continue
-            report = find_mono_triples(sample, fn)
+            report = find_mono_triples(sample, layers)
             violations, n_buckets, candidates = brute_force_sweep(sample, fn)
             records = list(report.violations)
             assert len(records) == len(report.violations) == len(violations), (name, fn_name)
@@ -283,7 +287,7 @@ class TestBruteForceOracle:
         the sweep gave them before the list path was deleted, with each colour
         key's profiles written as plain tuples, so the stream is in order."""
         sample = enumerate_sample(SHIPPED_SAMPLES["depth-two"])
-        report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["d"])
+        report = find_mono_triples(sample, ORACLE_COLOURINGS["drop-d"][0])
         counts = (report.size, report.pairs, report.n_buckets, report.candidate_pairs)
         assert counts == (6_300, 19_841_850, 7, 2_831_850)
         assert len(report.violations) == 705_600 == predicted_violations(sample, "drop-d") == comb(225, 2) * 4 * 7
@@ -317,8 +321,8 @@ class TestDrawnWindows:
     @example(spec=SampleSpec(AmbientSignature((3,), 0, 1)))
     def test_engine_matches_all_pairs(self, spec):
         sample = enumerate_sample(spec)
-        for fn_name, fn in ORACLE_COLOURINGS.items():
-            report = find_mono_triples(sample, fn)
+        for fn_name, (layers, fn) in ORACLE_COLOURINGS.items():
+            report = find_mono_triples(sample, layers)
             violations, n_buckets, candidates = brute_force_sweep(sample, fn)
             assert report.violations == violations, fn_name
             assert report.n_buckets == n_buckets, fn_name
@@ -384,8 +388,8 @@ class TestClosedFormCounts:
 
     @staticmethod
     def assert_counts_predicted(sample):
-        for fn_name, fn in ORACLE_COLOURINGS.items():
-            assert len(find_mono_triples(sample, fn).violations) == predicted_violations(sample, fn_name), fn_name
+        for fn_name, (layers, _) in ORACLE_COLOURINGS.items():
+            assert len(find_mono_triples(sample, layers).violations) == predicted_violations(sample, fn_name), fn_name
 
     @pytest.mark.parametrize("name", sorted(_NAMED_WINDOWS))
     def test_named_windows(self, name):
@@ -396,6 +400,57 @@ class TestClosedFormCounts:
     def test_drawn_windows(self, spec):
         self.assert_counts_predicted(enumerate_sample(spec))
 
+    def test_unread_layer_is_counted_from_class_sizes(self):
+        """Under drop-d every pair of d parts are partners, and the count comes
+        from the class size with no pair listed: main-sweep's window at depth 4
+        (50,625 d parts, 9,922,500 elements) is enumerated and counted well under
+        1 s and 50 MB (depth 3 took 2.26 s and 114 MB when every pair was listed)."""
+        spec = SampleSpec(AmbientSignature((3, 5), 2, 2), prufer_depth=4, q_numerator_bound=2,
+                          q_denominator_bound=2)
+        start = time.perf_counter()
+        report = find_mono_triples(enumerate_sample(spec, cap=10**7), {"y", "h"})
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            traced = find_mono_triples(enumerate_sample(spec, cap=10**7), {"y", "h"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.violations) == len(traced.violations) == comb(50_625, 2) * 4 * 49
+        assert elapsed < 1.0
+        assert peak < 50_000_000
+
+    def test_drop_y_in_integer_mode_pairs_within_parity_classes(self):
+        """With y unread and h read in integer mode, q parts are partners when
+        they share the parity of every free code: 11 values in each of two
+        coordinates make four classes of 25, 30, 30 and 36 parts."""
+        spec = SampleSpec(AmbientSignature((3,), 1, 2, free_mode=INTEGER), prufer_depth=2, q_numerator_bound=5)
+        sample = enumerate_sample(spec)
+        report = find_mono_triples(sample, {"d", "h"})
+        classes = Counter(tuple(v % 2 for v in q) for q in sample.q_codes)
+        assert sorted(classes.values()) == [25, 30, 30, 36]
+        assert len(report.violations) == predicted_violations(sample, "drop-y") == 9 * 2 * 1_800
+        assert sum(1 for _ in report.violations) == len(report.violations)
+
+
+class TestLayerTexts:
+    @pytest.mark.parametrize("name", sorted({**ORACLE_COLOURINGS, **SINGLE_LAYER_COLOURINGS}))
+    def test_template_writes_the_oracle_colour(self, name):
+        """A double's colour text, joined by its layer set's template from the
+        texts of its profiles, is the text of its oracle colour.  No window has
+        a violation under every layer, so this alone pins that template."""
+        layers, fn = {**ORACLE_COLOURINGS, **SINGLE_LAYER_COLOURINGS}[name]
+        template, profile_text = LAYER_TEXTS[layers]
+        for window in ("depth-two", "integer", "repeated-prime-box", "trivial"):
+            for a in enumerate_sample(ORACLE_SAMPLES[window]):
+                double = a.double()
+                text = template.format(d=profile_text(double.d_profile()), y=profile_text(double.q_profile()))
+                assert text == colour_text(fn(double)), (name, window)
+
+    def test_every_layer_set_has_a_template(self):
+        subsets = {frozenset(c for i, c in enumerate("dyh") if mask >> i & 1) for mask in range(8)}
+        assert set(LAYER_TEXTS) == subsets == {layers for layers, _ in SINGLE_LAYER_COLOURINGS.values()} | {
+            layers for layers, _ in ORACLE_COLOURINGS.values()}
 
 def _mutant(d=tuple, y=tuple):
     """``colour`` with its d and free profiles passed through ``d`` and ``y``."""
@@ -518,19 +573,20 @@ class TestCodedSample:
     def test_violation_sweep_holds_one_bucket_of_texts(self):
         """Under drop-halvable, main-sweep's 66,150 violation records are
         counted, then made one at a time as they are read: sweeping and reading
-        them all holds about 2.2 MB at peak, nearly all of it the colour texts
-        of the 9,675 buckets (9.2 MB more when the records were kept as sorted
-        tuples)."""
+        them all holds about 0.35 MB at peak, as each row's colour text is
+        joined from profile texts and none is kept per bucket (2.3 MB when the
+        9,675 bucket texts were kept, 9.2 MB more when the records were kept
+        as sorted tuples)."""
         sample = enumerate_sample(SHIPPED_SAMPLES["main-sweep"])
         tracemalloc.start()
         try:
-            report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["halvable"])
+            report = find_mono_triples(sample, {"d", "y"})
             streamed = sum(1 for _ in report.violations)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert streamed == len(report.violations) == 66_150
-        assert peak < 3_000_000
+        assert peak < 1_000_000
 
     def test_records_stream_in_bounded_memory(self):
         """main-sweep under drop-y has 1,058,400 violations; counting them and
@@ -540,7 +596,7 @@ class TestCodedSample:
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            report = find_mono_triples(sample, DROPPED_LAYER_COLOURINGS["y"])
+            report = find_mono_triples(sample, {"d", "h"})
             first = list(islice(report.violations, 1_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -559,8 +615,8 @@ class TestCodedSample:
         )
         sample = enumerate_sample(spec)
         assert sample.L == 1
-        for fn_name, fn in ORACLE_COLOURINGS.items():
-            report = find_mono_triples(sample, fn)
+        for fn_name, (layers, fn) in ORACLE_COLOURINGS.items():
+            report = find_mono_triples(sample, layers)
             assert report.violations == brute_force_sweep(sample, fn)[0], fn_name
         report = check_coset_uniqueness(sample)
         assert report.n_halvable == sum(map(is_halvable, sample)) == 3 * 3  # t = 0 and q in {-2, 0, 2}
